@@ -1,7 +1,6 @@
 """Exact p-adic torus volumes, orbital integrals, and trace formula checks."""
 
 from .exact import (
-    PAdicContext,
     QHalfPower,
     abs_p,
     fundamental_discriminant,
@@ -10,7 +9,6 @@ from .exact import (
     is_squarefree,
     ord_p,
     qhalf,
-    qhalf_arith,
     squarefree_part,
 )
 from .localquad import (

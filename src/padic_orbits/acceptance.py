@@ -18,7 +18,15 @@ from fractions import Fraction
 
 from . import eichlerselberg as es
 from . import gl2local, kirillov, localquad, pointcount, quadglobal, weylsteinberg
-from .exact import QHalfPower, is_prime, is_squarefree, ord_p, qhalf
+from .exact import (
+    QHalfPower,
+    frac_to_json,
+    is_fundamental_discriminant,
+    is_prime,
+    is_squarefree,
+    ord_p,
+    qhalf,
+)
 from .localquad import QuadKind, classify_quad, classnum_local_check
 from .pointcount import Constraint, NormEquation, digit_table, volume_profile
 from .weylsteinberg import OrbitKind
@@ -82,11 +90,6 @@ class _Dual:
 
     def inv(self):
         return _Dual(1 / self.a, -self.b / (self.a * self.a))
-
-
-def _fr(x) -> str:
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
 _SQUAREFREE_CANDIDATES = [-1, 2, -2, 3, -3, 5, -5, 6, -6, 7, -7, 10, -10, 11, -11, 13, -13]
@@ -182,7 +185,8 @@ def criterion_2_digit_analysis() -> CriterionResult:
     if prof2.volume != 1:
         ok = False
         details.append(f"FAIL: d=2 solution-set volume {prof2.volume} != 1")
-    details.append(f"d=2: volume {_fr(prof2.volume)}, digit patterns at depth 4: {comp2.pattern_count}")
+    details.append(f"d=2: volume {frac_to_json(prof2.volume)}, "
+                   f"digit patterns at depth 4: {comp2.pattern_count}")
 
     table3 = digit_table(NormEquation(3, Constraint.NORM_ONE), 3)
     comp3 = table3.component_at((1, 0))
@@ -199,16 +203,18 @@ def criterion_2_digit_analysis() -> CriterionResult:
         discrepancies.append(Discrepancy(
             "d=3 digit table, completeness",
             "single branch with x0 = 1 forced; total volume 1/2",
-            f"second solution component at (x0,y0)=(0,1) with volume {_fr(other.volume)}; "
-            f"total volume {_fr(table3.volume_at_depth)}",
+            f"second solution component at (x0,y0)=(0,1) "
+            f"with volume {frac_to_json(other.volume)}; "
+            f"total volume {frac_to_json(table3.volume_at_depth)}",
             "2^2 - 3*1^2 = 1 is a solution with x even",
         ))
     except KeyError:
         ok = False
         details.append("FAIL: expected even-x solution component for d=3 is missing")
     details.append(
-        f"d=3: identity-component volume {_fr(comp3.volume)} "
-        f"(matching the tabulated count 4/8), full solution set {_fr(table3.volume_at_depth)}"
+        f"d=3: identity-component volume {frac_to_json(comp3.volume)} "
+        f"(matching the tabulated count 4/8), "
+        f"full solution set {frac_to_json(table3.volume_at_depth)}"
     )
     return CriterionResult("digit-analysis", "p = 2 digit tables and volumes",
                            ok, time.perf_counter() - t0, details, discrepancies)
@@ -273,7 +279,7 @@ def criterion_5_cnf(terms: int = 10 ** 6) -> CriterionResult:
     checked = 0
     worst = 0.0
     for disc in range(-3, -201, -1):
-        if not _is_fund(disc):
+        if not is_fundamental_discriminant(disc):
             continue
         d = disc if disc % 2 else disc // 4
         rep = quadglobal.cnf_report(d, terms)
@@ -286,11 +292,6 @@ def criterion_5_cnf(terms: int = 10 ** 6) -> CriterionResult:
                    f"worst residual/bound = {worst:.3g}")
     return CriterionResult("cnf", "analytic class number formula", ok,
                            time.perf_counter() - t0, details)
-
-
-def _is_fund(disc: int) -> bool:
-    from .exact import is_fundamental_discriminant
-    return is_fundamental_discriminant(disc)
 
 
 def criterion_6_global(terms: int = 10 ** 6) -> CriterionResult:

@@ -229,8 +229,10 @@ def _cmd_reproduce_all(args) -> int:
         if not r.ok:
             for line in r.details:
                 print(f"    {line}", file=sys.stderr)
-    print(json.dumps({"ok": all_ok, "results": [r.to_json() for r in results]},
-                     sort_keys=True, indent=2))
+    # Timings stay on the stderr lines above so that stdout is deterministic.
+    stdout_results = [{k: v for k, v in r.to_json().items() if k != "seconds"}
+                      for r in results]
+    print(json.dumps({"ok": all_ok, "results": stdout_results}, sort_keys=True, indent=2))
     return 0 if all_ok else 1
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
+from .exact import frac_to_json
 from .quadglobal import hurwitz_hw
 
 _ONE_DIM_WEIGHTS = {12: (0, 0), 16: (1, 0), 18: (0, 1), 20: (2, 0), 22: (1, 1), 26: (2, 1)}
@@ -60,16 +61,12 @@ class TraceTerms:
         return {
             "k": self.k,
             "n": self.n,
-            "identity_term": _fr(self.identity_term),
-            "elliptic_term": _fr(self.elliptic_term),
-            "hyperbolic_term": _fr(self.hyperbolic_term),
-            "rhs_total": _fr(self.rhs_total),
+            "identity_term": frac_to_json(self.identity_term),
+            "elliptic_term": frac_to_json(self.elliptic_term),
+            "hyperbolic_term": frac_to_json(self.hyperbolic_term),
+            "rhs_total": frac_to_json(self.rhs_total),
             "trace": str(self.trace),
         }
-
-
-def _fr(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
 def trace_formula(k: int, n: int) -> TraceTerms:
@@ -217,7 +214,8 @@ def eigenform_coeffs(k: int, N: int) -> list[int]:
         f = f * eisenstein_e4(N)
     for _ in range(b):
         f = f * eisenstein_e6(N)
-    assert f[1] == 1, "eigenform not normalized"
+    if f[1] != 1:
+        raise ArithmeticError(f"eigenform at weight {k} not normalized: a_1 = {f[1]}")
     return f.coeffs[1:]
 
 

@@ -103,21 +103,6 @@ def is_fundamental_discriminant(D: int) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class PAdicContext:
-    """A prime p together with its residue cardinality q (q = p here throughout)."""
-
-    p: int
-    q: int = 0
-
-    def __post_init__(self):
-        _require_prime(self.p)
-        if self.q == 0:
-            object.__setattr__(self, "q", self.p)
-        if self.q != self.p:
-            raise ValueError("residue extensions (q != p) are out of scope")
-
-
 def ord_p(x: RationalLike, p: int) -> int:
     """Normalized p-adic valuation of a nonzero rational; ord_p(p) = 1."""
     _require_prime(p)
@@ -295,17 +280,6 @@ def abs_p(x: RationalLike, p: int) -> QHalfPower:
     if x == 0:
         return qhalf_zero(p)
     return QHalfPower(Fraction(1), -2 * ord_p(x, p), p)
-
-
-def qhalf_arith(a: QHalfPower, b: QHalfPower, op: str) -> QHalfPower:
-    """Dispatch form of the scalar arithmetic, mirroring the operator overloads."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
 
 
 def frac_to_json(x: Fraction) -> str:

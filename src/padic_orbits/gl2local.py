@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import QHalfPower, is_prime, qhalf
+from .exact import QHalfPower, _require_prime, frac_to_json, qhalf
 from .weylsteinberg import Gl2OrbitClass, OrbitKind, delta_abs_gl2
 
 
@@ -76,8 +76,7 @@ def conversion_factor(c: Gl2OrbitClass) -> QHalfPower:
 
 def dgbar_scale(q: int) -> Fraction:
     """L(1, sigma_G) * vol(G_0) = (1 - 1/q)(1 + 1/q) for GL2."""
-    if not is_prime(q):
-        raise ValueError(f"{q} is not prime")
+    _require_prime(q)
     qq = Fraction(q)
     return (1 - 1 / qq) * (1 + 1 / qq)
 
@@ -95,15 +94,11 @@ class OrbitalReport:
         return {
             "class": self.orbit_class.to_json(),
             "abs_weyl_disc": self.abs_weyl_disc.to_json(),
-            "O_canonical": _fr(self.O_canonical),
+            "O_canonical": frac_to_json(self.O_canonical),
             "O_geometric": self.O_geometric.to_json(),
             "conversion": self.conversion.to_json(),
-            "dgbar_scale": _fr(self.dgbar),
+            "dgbar_scale": frac_to_json(self.dgbar),
         }
-
-
-def _fr(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
 def report_for_class(c: Gl2OrbitClass) -> OrbitalReport:

@@ -16,9 +16,10 @@ from typing import Optional
 
 from .exact import (
     QHalfPower,
+    _require_prime,
+    frac_to_json,
     fundamental_discriminant,
     is_fundamental_discriminant,
-    is_prime,
     is_squarefree,
     ord_p,
     qhalf,
@@ -45,14 +46,6 @@ class LocalQuadType:
     def __post_init__(self):
         if self.p2_detail is not None and self.kind is not QuadKind.RAMIFIED:
             raise ValueError("p2_detail only applies to the ramified kind")
-
-
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a/p) for odd prime p."""
-    a %= p
-    if a == 0:
-        return 0
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
 def kronecker_symbol(a: int, n: int) -> int:
@@ -90,8 +83,7 @@ def kronecker_symbol(a: int, n: int) -> int:
 
 def classify_quad(d: int, p: int) -> LocalQuadType:
     """Classify Q_p(sqrt d) for squarefree d != 0, 1."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _require_prime(p)
     if d in (0, 1) or not is_squarefree(d):
         raise ValueError(f"d = {d} must be squarefree and != 0, 1")
     if p == 2:
@@ -104,13 +96,12 @@ def classify_quad(d: int, p: int) -> LocalQuadType:
         return LocalQuadType(QuadKind.RAMIFIED, detail)
     if d % p == 0:
         return LocalQuadType(QuadKind.RAMIFIED)
-    return LocalQuadType(QuadKind.SPLIT if legendre(d, p) == 1 else QuadKind.UNRAMIFIED)
+    return LocalQuadType(QuadKind.SPLIT if kronecker_symbol(d, p) == 1 else QuadKind.UNRAMIFIED)
 
 
 def chi_at_p(disc: int, p: int) -> int:
     """Quadratic character value at p: +1 split, -1 inert, 0 ramified."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _require_prime(p)
     if not is_fundamental_discriminant(disc):
         raise ValueError(f"{disc} is not a fundamental discriminant")
     return kronecker_symbol(disc, p)
@@ -157,16 +148,11 @@ class TorusVolumeReport:
             "kind": self.local_type.kind.value,
             "p2_detail": self.local_type.p2_detail.value if self.local_type.p2_detail else None,
             "vol_omega_T_Tc": self.vol_omega_T_Tc.to_json(),
-            "L_factor_at_1": _fr(self.L_factor_at_1),
-            "vol_canonical_T0": _fr(self.vol_canonical_T0),
+            "L_factor_at_1": frac_to_json(self.L_factor_at_1),
+            "vol_canonical_T0": frac_to_json(self.vol_canonical_T0),
             "index_Tc_over_T0": self.index_Tc_over_T0,
             "index_unverified": self.index_unverified,
         }
-
-
-def _fr(x: Fraction) -> str:
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
 def res_torus_volume(t: LocalQuadType, p: int) -> TorusVolumeReport:
@@ -176,8 +162,7 @@ def res_torus_volume(t: LocalQuadType, p: int) -> TorusVolumeReport:
     depends on whether d itself carries the ramification (TwiceUnit) or only
     the discriminant does (UnitNonSquare, where sqrt(d) is a unit).
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _require_prime(p)
     q = Fraction(p)
     one_minus = 1 - 1 / q
     if t.kind is QuadKind.SPLIT:
@@ -206,8 +191,7 @@ def norm1_volume(t: LocalQuadType, p: int) -> QHalfPower:
     Unramified: 1 + 1/q.  Ramified: 2/sqrt(q).  At p = 2 the closed form is
     not assembled here; use the point-count module's raw solution counts.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _require_prime(p)
     if p == 2:
         raise ValueError(
             "norm-one volumes at p = 2 are not assembled in closed form; "
@@ -233,8 +217,8 @@ class Norm1VolumeReport:
             "kind": self.local_type.kind.value,
             "p2_detail": self.local_type.p2_detail.value if self.local_type.p2_detail else None,
             "vol_omega_T_Tc": self.vol_omega_T_Tc.to_json(),
-            "L_factor_at_1": _fr(self.L_factor_at_1),
-            "vol_canonical_T0": _fr(self.vol_canonical_T0),
+            "L_factor_at_1": frac_to_json(self.L_factor_at_1),
+            "vol_canonical_T0": frac_to_json(self.vol_canonical_T0),
             "index_Tc_over_T0": self.index_Tc_over_T0,
         }
 

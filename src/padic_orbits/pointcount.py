@@ -15,12 +15,11 @@ raw congruence counts are kept alongside for transparency.
 from __future__ import annotations
 
 import enum
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exact import is_prime, is_squarefree
+from .exact import _require_prime, frac_to_json, is_squarefree
 
 _ENUM_BUDGET = 10 ** 9
 # Newton: a mod-2^(k+2) congruence solution of the norm-one equation agrees
@@ -47,14 +46,10 @@ class NormEquation:
         return 2 if self.constraint is Constraint.UNIT_NORM else 1
 
 
-def _worker_cap() -> int:
-    try:
-        return max(1, int(os.environ.get("PADIC_ORBITS_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _check_budget(p: int, k: int) -> None:
+def _check_args(p: int, k: int) -> None:
+    _require_prime(p)
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if p ** (2 * k) > _ENUM_BUDGET:
         raise ValueError(f"enumeration budget exceeded: p^2k = {p ** (2 * k)} > {_ENUM_BUDGET}")
 
@@ -69,27 +64,14 @@ def _square_root_table(m: int) -> dict[int, list[int]]:
 
 def _unit_norm_count_mod_p(d: int, p: int) -> int:
     # The unit condition only depends on (x, y) mod p; plain double loop.
-    # Partitioned over x so the count is a sum of independent range counts.
-    parts = _worker_cap()
-    bounds = [(i * p) // parts for i in range(parts + 1)]
-    total = 0
-    for lo, hi in zip(bounds, bounds[1:]):
-        total += sum(
-            1 for x in range(lo, hi) for y in range(p) if (x * x - d * y * y) % p != 0
-        )
-    return total
+    return sum(1 for x in range(p) for y in range(p) if (x * x - d * y * y) % p != 0)
 
 
 def _norm_one_congruence_count(d: int, p: int, k: int) -> int:
     """Plain count of pairs mod p^k with x^2 - d y^2 = 1 mod p^k."""
     m = p ** k
     sq = _square_root_table(m)
-    parts = _worker_cap()
-    bounds = [(i * m) // parts for i in range(parts + 1)]
-    total = 0
-    for lo, hi in zip(bounds, bounds[1:]):
-        total += sum(len(sq.get((1 + d * y * y) % m, ())) for y in range(lo, hi))
-    return total
+    return sum(len(sq.get((1 + d * y * y) % m, ())) for y in range(m))
 
 
 def _norm_one_solution_pairs(d: int, p: int, k: int) -> set[tuple[int, int]]:
@@ -118,11 +100,7 @@ def count_mod(eq: NormEquation, p: int, k: int) -> int:
     mod p, so every residue pair lifts).  Norm-one counts at p = 2 are images
     of the 2-adic solution set, computed by buffered projection.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    _check_budget(p, k)
+    _check_args(p, k)
     if eq.constraint is Constraint.UNIT_NORM:
         return _unit_norm_count_mod_p(eq.epsilon, p) * p ** (2 * (k - 1))
     return _norm_one_image_count(eq.epsilon, p, k)
@@ -130,9 +108,7 @@ def count_mod(eq: NormEquation, p: int, k: int) -> int:
 
 def raw_count_mod(eq: NormEquation, p: int, k: int) -> int:
     """Literal congruence-solution count mod p^k (no lifting filter)."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    _check_budget(p, k)
+    _check_args(p, k)
     if eq.constraint is Constraint.UNIT_NORM:
         return _unit_norm_count_mod_p(eq.epsilon, p) * p ** (2 * (k - 1))
     return _norm_one_congruence_count(eq.epsilon, p, k)
@@ -157,12 +133,8 @@ class CountProfile:
             "counts": [[k, str(n)] for k, n in self.counts],
             "raw_counts": [[k, str(n)] for k, n in self.raw_counts],
             "stabilized_from": self.stabilized_from,
-            "volume": None if self.volume is None else _fr(self.volume),
+            "volume": None if self.volume is None else frac_to_json(self.volume),
         }
-
-
-def _fr(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
 def volume_profile(eq: NormEquation, p: int, k_max: int) -> CountProfile:
@@ -175,7 +147,10 @@ def volume_profile(eq: NormEquation, p: int, k_max: int) -> CountProfile:
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     counts = [(k, count_mod(eq, p, k)) for k in range(1, k_max + 1)]
-    raw = [(k, raw_count_mod(eq, p, k)) for k in range(1, k_max + 1)]
+    raw = counts
+    if p == 2 and eq.constraint is Constraint.NORM_ONE:
+        # The only case where the congruence count differs from the image.
+        raw = [(k, raw_count_mod(eq, p, k)) for k in range(1, k_max + 1)]
     dim = eq.dim
     scale = p ** dim
     stabilized: Optional[int] = None
@@ -231,7 +206,7 @@ class DigitComponent:
             "anchor": list(self.anchor),
             "rows": [r.to_json() for r in self.rows],
             "pattern_count": self.pattern_count,
-            "volume": _fr(self.volume),
+            "volume": frac_to_json(self.volume),
         }
 
 
@@ -257,7 +232,7 @@ class DigitTable:
             "rows": [r.to_json() for r in self.rows],
             "components": [c.to_json() for c in self.components],
             "pattern_count": self.pattern_count,
-            "volume_at_depth": _fr(self.volume_at_depth),
+            "volume_at_depth": frac_to_json(self.volume_at_depth),
         }
 
 

@@ -15,8 +15,8 @@ from typing import Optional, Sequence
 
 from .exact import (
     QHalfPower,
+    _require_prime,
     fundamental_discriminant,
-    is_prime,
     ord_p,
     squarefree_part,
 )
@@ -150,8 +150,7 @@ class Gl2OrbitClass:
     def __post_init__(self):
         if self.d < 0:
             raise ValueError("depth d must be nonnegative")
-        if not is_prime(self.q):
-            raise ValueError(f"{self.q} is not prime")
+        _require_prime(self.q)
 
     def to_json(self) -> dict:
         return {"kind": self.kind.value, "d": self.d, "q": self.q}
@@ -167,8 +166,7 @@ def delta_abs_gl2(trace: Fraction, det: Fraction, p: int) -> tuple[QHalfPower, G
     negative valuation (eigenvalues outside the standard lattice setting)
     are rejected.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _require_prime(p)
     trace, det = Fraction(trace), Fraction(det)
     disc = trace * trace - 4 * det
     if disc == 0:
@@ -181,7 +179,10 @@ def delta_abs_gl2(trace: Fraction, det: Fraction, p: int) -> tuple[QHalfPower, G
         kind = _KIND_FROM_QUAD[classify_quad(d0, p).kind]
     conductor_sq = disc / delta0  # always a square of a rational
     d_gamma = ord_p(conductor_sq, p)
-    assert d_gamma % 2 == 0
+    if d_gamma % 2:
+        raise ArithmeticError(
+            f"conductor^2 = {conductor_sq} has odd valuation at p = {p} "
+            f"(trace {trace}, det {det})")
     d_gamma //= 2
     if d_gamma < 0:
         raise ValueError("inconsistent valuation data: negative depth")
@@ -294,8 +295,7 @@ def gsp_charpoly_factor(n: int, det_gamma: Fraction, D_abs: QHalfPower, p: int) 
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _require_prime(p)
     if D_abs.q != p:
         raise ValueError("D_abs is relative to a different residue cardinality")
     det_gamma = Fraction(det_gamma)

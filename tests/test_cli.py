@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from padic_orbits.acceptance import CRITERIA
 from padic_orbits.cli import main
 
 
@@ -147,6 +148,18 @@ def test_output_is_byte_identical(capsys):
     _, third = run_cli(capsys, "trace", "--k", "16", "--n", "7", "--oracle")
     _, fourth = run_cli(capsys, "trace", "--k", "16", "--n", "7", "--oracle")
     assert third == fourth
+
+
+def test_reproduce_all_stdout_is_deterministic(capsys):
+    skips = [arg for key, _ in CRITERIA if key != "gl2-factorization"
+             for arg in ("--skip", key)]
+    code, first = run_cli(capsys, "reproduce-all", *skips)
+    assert code == 0
+    _, second = run_cli(capsys, "reproduce-all", *skips)
+    assert first == second
+    assert "seconds" not in first
+    results = json.loads(first)["results"]
+    assert [r["key"] for r in results if r["details"] != ["skipped"]] == ["gl2-factorization"]
 
 
 def test_global_check(capsys):

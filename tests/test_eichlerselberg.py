@@ -71,6 +71,14 @@ def test_eigenform_examples():
         eigenform_coeffs(24, 5)
 
 
+def test_eigenform_normalization_failure_is_arithmetic_error(monkeypatch):
+    import padic_orbits.eichlerselberg as es
+
+    monkeypatch.setattr(es, "eta_tau", lambda N: [0, 2] + [0] * (N - 1))
+    with pytest.raises(ArithmeticError, match="weight 12"):
+        eigenform_coeffs(12, 5)
+
+
 def test_oracle_equality_spot():
     for k in (12, 16, 18, 20, 22, 26):
         coeffs = eigenform_coeffs(k, 30)

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from padic_orbits.exact import (
-    PAdicContext,
     QHalfPower,
     abs_p,
     fundamental_discriminant,
@@ -14,7 +13,6 @@ from padic_orbits.exact import (
     is_squarefree,
     ord_p,
     qhalf,
-    qhalf_arith,
     qhalf_zero,
     squarefree_part,
 )
@@ -96,18 +94,18 @@ def test_product_formula_random_sweep():
 def test_qhalf_add_mul_examples():
     q3 = lambda c, h=0: qhalf(Fraction(c), 3, h)
     assert (1 - Fraction(1, 3)) * (1 + Fraction(1, 3)) == Fraction(8, 9)
-    assert qhalf_arith(q3(1 - Fraction(1, 3)), q3(1 + Fraction(1, 3)), "mul") == q3(Fraction(8, 9))
+    assert q3(1 - Fraction(1, 3)) * q3(1 + Fraction(1, 3)) == q3(Fraction(8, 9))
     # sqrt(5) * sqrt(5) = 5
     a = qhalf(2, 5, -1)
     b = qhalf(1, 5, -1)
-    assert qhalf_arith(a, b, "mul") == qhalf(Fraction(2, 5), 5)
+    assert a * b == qhalf(Fraction(2, 5), 5)
 
 
 def test_qhalf_mixed_parity_add_rejected():
     a = qhalf(Fraction(1, 2), 2, -1)
     b = qhalf(1, 2, 0)
     with pytest.raises(ValueError, match="incommensurable"):
-        qhalf_arith(a, b, "add")
+        a + b
 
 
 def test_qhalf_division_by_zero():
@@ -172,12 +170,3 @@ def test_squarefree_helpers():
     assert fundamental_discriminant(2) == 8
     assert is_fundamental_discriminant(-4)
     assert not is_fundamental_discriminant(-9)
-
-
-def test_padic_context():
-    ctx = PAdicContext(7)
-    assert ctx.q == 7
-    with pytest.raises(ValueError):
-        PAdicContext(8)
-    with pytest.raises(ValueError):
-        PAdicContext(3, 9)

@@ -61,6 +61,16 @@ def test_kronecker_multiplicativity():
                         == kronecker_symbol(disc, m) * kronecker_symbol(disc, n))
 
 
+def test_kronecker_matches_euler_criterion():
+    # For odd prime p the Kronecker symbol is the Legendre symbol a^((p-1)/2) mod p.
+    for p in range(3, 400, 2):
+        if not is_prime(p):
+            continue
+        for a in range(-300, 300):
+            euler = pow(a, (p - 1) // 2, p)
+            assert kronecker_symbol(a, p) == (euler if euler <= 1 else -1), (a, p)
+
+
 def test_artin_L_examples():
     assert artin_L_at_1(classify_quad(-1, 5), 3) == Fraction(9, 4)  # split shape
     assert artin_L_at_1(classify_quad(5, 2), 3) == Fraction(9, 8)

@@ -44,6 +44,16 @@ def test_squarefree_epsilon_required():
 def test_budget_guard():
     with pytest.raises(ValueError, match="budget"):
         count_mod(eq(-1, UNIT), 101, 5)
+    with pytest.raises(ValueError, match="budget"):
+        raw_count_mod(eq(-1, ONE), 101, 5)
+
+
+@pytest.mark.parametrize("count", [count_mod, raw_count_mod])
+@pytest.mark.parametrize("c", [UNIT, ONE])
+@pytest.mark.parametrize("k", [0, -2])
+def test_level_must_be_positive(count, c, k):
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        count(eq(-1, c), 3, k)
 
 
 def test_raw_vs_image_counts():
@@ -167,12 +177,3 @@ def test_digit_table_requires_norm_one():
         digit_table(eq(-1, UNIT), 3)
     with pytest.raises(ValueError):
         digit_table(eq(-1, ONE), 9)
-
-
-def test_partition_independence(monkeypatch):
-    eq1 = eq(-2, UNIT)
-    eq2 = eq(5, ONE)
-    base = (count_mod(eq1, 7, 2), count_mod(eq2, 5, 3))
-    for workers in ("2", "3", "8"):
-        monkeypatch.setenv("PADIC_ORBITS_THREADS", workers)
-        assert (count_mod(eq1, 7, 2), count_mod(eq2, 5, 3)) == base

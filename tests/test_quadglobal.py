@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
 
 import pytest
 
 from padic_orbits.exact import is_fundamental_discriminant
+from padic_orbits.localquad import kronecker_symbol
 from padic_orbits.quadglobal import (
     ReducedForm,
     class_number,
@@ -97,6 +102,30 @@ def test_dirichlet_L1_examples():
     assert abs(val - math.pi / (3 * math.sqrt(3))) <= err
     val, err = dirichlet_L1(-23, 10 ** 6)
     assert abs(val - 3 * math.pi / math.sqrt(23)) <= err
+
+
+@pytest.mark.parametrize("disc", [-3, -4, -23, -104, -199])
+@pytest.mark.parametrize("terms", [10 ** 4, 10 ** 5 + 7])
+def test_dirichlet_L1_matches_direct_sum(disc, terms):
+    M = terms // abs(disc) * abs(disc)
+    direct = math.fsum(kronecker_symbol(disc, n) / n for n in range(1, M + 1))
+    value, bound = dirichlet_L1(disc, terms)
+    assert abs(value - direct) <= 1e-15
+    assert bound == abs(disc) / M
+
+
+def test_package_imports_without_numpy():
+    code = ("import sys; sys.modules['numpy'] = None; "
+            "from padic_orbits import cnf_report; sys.exit(not cnf_report(-23, 10 ** 6).ok)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_huge_term_budget_is_cheap():
+    t0 = time.perf_counter()
+    rep = cnf_report(-23, 10 ** 12)
+    assert rep.ok
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_dirichlet_L1_preconditions():

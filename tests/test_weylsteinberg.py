@@ -176,6 +176,15 @@ def test_delta_abs_errors():
         delta_abs_gl2(F(1, 5), F(1, 25), 5)  # eigenvalues off the lattice
 
 
+def test_delta_abs_odd_conductor_valuation_is_arithmetic_error(monkeypatch):
+    import padic_orbits.weylsteinberg as ws
+
+    # A corrupted square class: disc -4 over -8 leaves conductor^2 = 1/2.
+    monkeypatch.setattr(ws, "squarefree_part", lambda x: -2)
+    with pytest.raises(ArithmeticError, match="odd valuation"):
+        delta_abs_gl2(F(0), F(1), 2)
+
+
 def test_steinberg_sl2():
     assert steinberg_sl2(F(2)) == F(5, 2)
     assert steinberg_sl2(F(1)) == 2
