@@ -121,8 +121,7 @@ def criterion_1_torus_volumes() -> CriterionResult:
             if kind is QuadKind.SPLIT:
                 continue
             prof1 = volume_profile(NormEquation(d, Constraint.NORM_ONE), p, 3)
-            pref1 = QHalfPower(Fraction(1), -ord_p(d, p), p)
-            lhs1 = qhalf(prof1.volume, p) * pref1
+            lhs1 = qhalf(prof1.volume, p) * prefactor
             if lhs1 != localquad.norm1_volume(t, p):
                 ok = False
                 details.append(f"FAIL norm-one volume at p={p} d={d}")

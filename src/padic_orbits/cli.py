@@ -256,7 +256,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (ValueError, ArithmeticError, KeyError, AssertionError) as exc:
+    except (ValueError, ArithmeticError, KeyError) as exc:
         return _fail(str(exc))
 
 

@@ -128,11 +128,12 @@ class PowerSeriesZ:
         if self.order != other.order:
             raise ValueError("mismatched truncation orders")
         n = self.order
+        other_coeffs = other.coeffs
         out = [0] * (n + 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j in range(n + 1 - i):
-                    b = other.coeffs[j]
+                    b = other_coeffs[j]
                     if b:
                         out[i + j] += a * b
         return PowerSeriesZ(out, n)
@@ -148,56 +149,41 @@ class PowerSeriesZ:
         return f"PowerSeriesZ([{head}, ...], order={self.order})"
 
 
-def _eta_cubed_exponents(order: int) -> list[tuple[int, int]]:
+def _eta_cubed(order: int) -> PowerSeriesZ:
     # prod (1 - q^m)^3 = sum_{k>=0} (-1)^k (2k+1) q^(k(k+1)/2)
-    out = []
+    coeffs = [0] * (order + 1)
     k = 0
     while k * (k + 1) // 2 <= order:
-        out.append((k * (k + 1) // 2, (-1) ** k * (2 * k + 1)))
+        coeffs[k * (k + 1) // 2] = (-1) ** k * (2 * k + 1)
         k += 1
-    return out
+    return PowerSeriesZ(coeffs, order)
 
 
 def eta_tau(N: int) -> list[int]:
     """tau(1..N) from q * prod (1 - q^m)^24, exact integers; index 0 unused.
 
     The 24th power is built as the 8th power of the cubed product, whose
-    expansion is sparse, so each multiplication is sparse-times-dense.
+    expansion is sparse; with it on the left, each product only walks the
+    dense factor once per nonzero term.
     """
     if not 1 <= N <= _SERIES_CAP:
         raise ValueError(f"N must be between 1 and {_SERIES_CAP}")
-    order = N - 1
-    sparse = _eta_cubed_exponents(order)
-    res = [0] * (order + 1)
-    res[0] = 1
-    for _ in range(8):
-        new = [0] * (order + 1)
-        for e, c in sparse:
-            for i in range(order + 1 - e):
-                a = res[i]
-                if a:
-                    new[i + e] += c * a
-        res = new
-    return [0] + res  # tau(n) is the q^(n-1) coefficient of the product
+    eta3 = _eta_cubed(N - 1)
+    res = eta3
+    for _ in range(7):
+        res = eta3 * res
+    return [0] + res.coeffs  # tau(n) is the q^(n-1) coefficient of the product
 
 
-def _sigma_table(N: int, power: int) -> list[int]:
-    out = [0] * (N + 1)
+def _eisenstein(N: int, power: int, c: int) -> PowerSeriesZ:
+    """1 + c * sum_m sigma_power(m) q^m: E4 is (3, 240), E6 is (5, -504)."""
+    coeffs = [0] * (N + 1)
     for d in range(1, N + 1):
-        dp = d ** power
+        term = c * d ** power
         for mult in range(d, N + 1, d):
-            out[mult] += dp
-    return out
-
-
-def eisenstein_e4(N: int) -> PowerSeriesZ:
-    s3 = _sigma_table(N, 3)
-    return PowerSeriesZ([1] + [240 * s3[m] for m in range(1, N + 1)], N)
-
-
-def eisenstein_e6(N: int) -> PowerSeriesZ:
-    s5 = _sigma_table(N, 5)
-    return PowerSeriesZ([1] + [-504 * s5[m] for m in range(1, N + 1)], N)
+            coeffs[mult] += term
+    coeffs[0] = 1
+    return PowerSeriesZ(coeffs, N)
 
 
 def eigenform_coeffs(k: int, N: int) -> list[int]:
@@ -211,9 +197,9 @@ def eigenform_coeffs(k: int, N: int) -> list[int]:
     tau = eta_tau(N)
     f = PowerSeriesZ([0] + tau[1:], N)
     for _ in range(a):
-        f = f * eisenstein_e4(N)
+        f = f * _eisenstein(N, 3, 240)
     for _ in range(b):
-        f = f * eisenstein_e6(N)
+        f = f * _eisenstein(N, 5, -504)
     if f[1] != 1:
         raise ArithmeticError(f"eigenform at weight {k} not normalized: a_1 = {f[1]}")
     return f.coeffs[1:]

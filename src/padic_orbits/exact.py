@@ -64,14 +64,9 @@ def is_squarefree(n: int) -> bool:
     return True
 
 
-def squarefree_part(x: Fraction) -> int:
-    """The unique squarefree integer d with x = d * (rational square), x != 0."""
-    if x == 0:
-        raise ValueError("squarefree part of zero undefined")
-    n = x.numerator * x.denominator  # same square class as x
-    sign = -1 if n < 0 else 1
+def _prime_powers(n: int):
+    """Yield (p, e) for each prime power p^e exactly dividing |n|, by trial division."""
     n = abs(n)
-    out = 1
     d = 2
     while d * d <= n:
         if n % d == 0:
@@ -79,10 +74,22 @@ def squarefree_part(x: Fraction) -> int:
             while n % d == 0:
                 n //= d
                 e += 1
-            if e % 2:
-                out *= d
+            yield d, e
         d += 1 if d == 2 else 2
-    return sign * out * n
+    if n > 1:
+        yield n, 1
+
+
+def squarefree_part(x: Fraction) -> int:
+    """The unique squarefree integer d with x = d * (rational square), x != 0."""
+    if x == 0:
+        raise ValueError("squarefree part of zero undefined")
+    n = x.numerator * x.denominator  # same square class as x
+    out = -1 if n < 0 else 1
+    for p, e in _prime_powers(n):
+        if e % 2:
+            out *= p
+    return out
 
 
 def fundamental_discriminant(d: int) -> int:
@@ -149,23 +156,20 @@ class QHalfPower:
         k, parity = divmod(self.half_exp, 2)
         return (self.coeff * Fraction(self.q) ** k, parity, self.q)
 
-    def __eq__(self, other):
+    def _coerce(self, other):
+        """other as a QHalfPower (rationals at q^0), or NotImplemented if foreign."""
         if isinstance(other, (int, Fraction)):
-            other = QHalfPower(Fraction(other), 0, self.q)
-        if not isinstance(other, QHalfPower):
+            return QHalfPower(Fraction(other), 0, self.q)
+        return other if isinstance(other, QHalfPower) else NotImplemented
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
-        if self.q != other.q:
-            return False
-        return self._key() == other._key()
+        return self._key() == other._key()  # the key ends with q
 
     def __hash__(self):
         return hash(self._key())
-
-    def is_zero(self) -> bool:
-        return self.coeff == 0
-
-    def is_rational(self) -> bool:
-        return self.coeff == 0 or self.half_exp % 2 == 0
 
     def as_fraction(self) -> Fraction:
         """Exact rational value; error if an odd power of sqrt(q) remains."""
@@ -206,9 +210,8 @@ class QHalfPower:
         return NotImplemented
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QHalfPower(Fraction(other), 0, self.q)
-        if not isinstance(other, QHalfPower):
+        other = self._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
         self._check_q(other)
         if self.coeff == 0:
@@ -226,9 +229,10 @@ class QHalfPower:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QHalfPower(Fraction(other), 0, self.q)
-        return self + QHalfPower(-other.coeff, other.half_exp, other.q)
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + -other
 
     def __neg__(self):
         return QHalfPower(-self.coeff, self.half_exp, self.q)

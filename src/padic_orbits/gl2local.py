@@ -106,7 +106,7 @@ def report_for_class(c: Gl2OrbitClass) -> OrbitalReport:
     o_geom = orbital_geometric_f0(c)
     conv = conversion_factor(c)
     if o_geom != conv * qhalf(o_can, c.q):
-        raise AssertionError("factorization identity violated; closed forms corrupted")
+        raise ArithmeticError("factorization identity violated; closed forms corrupted")
     half = abs_weyl_disc_half(c)
     return OrbitalReport(c, half * half, o_can, o_geom, conv, dgbar_scale(c.q))
 

@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Callable
 
 from .exact import (
+    _prime_powers,
     frac_to_json,
     fundamental_discriminant,
     is_fundamental_discriminant,
@@ -117,11 +117,6 @@ class QuadFieldData:
     w: int
     h: int
 
-    @property
-    def chi(self) -> Callable[[int], int]:
-        disc = self.disc
-        return lambda n: kronecker_symbol(disc, n)
-
     def to_json(self) -> dict:
         return {"d": self.d, "disc": self.disc, "w": self.w, "h": self.h}
 
@@ -181,12 +176,6 @@ def cnf_target(K: QuadFieldData) -> float:
     return 2 * math.pi * K.h / (K.w * math.sqrt(abs(K.disc)))
 
 
-def cnf_residual(d: int, terms: int) -> float:
-    """|L(1,chi) partial sum - 2 pi h / (w sqrt|disc|)|; small iff the class
-    number formula holds to within the truncation bound."""
-    return cnf_report(d, terms).residual
-
-
 @dataclass(frozen=True)
 class CnfReport:
     field: QuadFieldData
@@ -221,21 +210,6 @@ def cnf_report(d: int, terms: int) -> CnfReport:
 
 # --------------------------------------------------------------------------
 # Global identity
-
-
-def _prime_factors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
 
 
 @dataclass(frozen=True)
@@ -299,7 +273,7 @@ def global_identity_check(trace: int, det: int, terms: int = 10 ** 6) -> GlobalI
     if conductor_sq.denominator != 1 or conductor * conductor != conductor_sq.numerator:
         raise ValueError("discriminant is not conductor^2 times a fundamental discriminant")
 
-    S = sorted(set(_prime_factors(disc)) | set(_prime_factors(det)))
+    S = sorted({p for n in (disc, det) for p, _ in _prime_powers(n)})
     local = {}
     prod_o_can = Fraction(1)
     for p in S:
@@ -314,7 +288,7 @@ def global_identity_check(trace: int, det: int, terms: int = 10 ** 6) -> GlobalI
             rep = full_report(Fraction(trace), Fraction(det), p)
             off_samples[str(p)] = frac_to_json(rep.O_canonical)
             if rep.O_canonical != 1:
-                raise AssertionError(f"off-S canonical integral != 1 at p = {p}")
+                raise ArithmeticError(f"off-S canonical integral != 1 at p = {p}")
             found += 1
         p += 1
 

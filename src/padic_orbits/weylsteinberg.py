@@ -254,13 +254,6 @@ class Sp4IdentityCheck:
     def ok(self) -> bool:
         return self.jacobian_matches and self.omega_matches
 
-    def to_json(self) -> dict:
-        return {
-            "jacobian_matches": self.jacobian_matches,
-            "omega_matches": self.omega_matches,
-            "omega_sign": self.omega_sign,
-        }
-
 
 def sp4_identity_check(t1: Fraction, t2: Fraction) -> Sp4IdentityCheck:
     """Exact Jacobian and volume-form identities at a regular point of Sp4.

@@ -129,6 +129,21 @@ def test_qhalf_cross_q_operations_rejected():
         qhalf(1, 3) * qhalf(1, 5)
 
 
+@pytest.mark.parametrize("op", [
+    lambda a: a + "x", lambda a: "x" + a, lambda a: a - "x",
+], ids=["add", "radd", "sub"])
+def test_qhalf_foreign_operand_is_type_error(op):
+    with pytest.raises(TypeError):
+        op(qhalf(1, 3))
+    assert qhalf(1, 3) != "x"
+
+
+def test_qhalf_sub_examples():
+    assert qhalf(1, 3, -2) - Fraction(1, 3) == qhalf_zero(3)
+    assert qhalf(5, 3) - 2 == qhalf(3, 3)
+    assert qhalf(2, 5, -1) - qhalf(1, 5, -1) == qhalf(1, 5, -1)
+
+
 def test_qhalf_sqrt():
     assert qhalf(Fraction(4, 9), 3, -4).sqrt() == qhalf(Fraction(2, 3), 3, -2)
     with pytest.raises(ValueError):

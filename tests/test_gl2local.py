@@ -125,3 +125,12 @@ def test_class_from_letter():
 def test_report_for_class_roundtrip():
     rep = report_for_class(cls(R, 2, 3))
     assert rep.O_geometric == rep.conversion * qhalf(rep.O_canonical, 3)
+
+
+def test_report_for_class_corrupted_closed_form_is_arithmetic_error(monkeypatch):
+    import padic_orbits.gl2local as gl2
+
+    original = gl2.orbital_canonical_f0
+    monkeypatch.setattr(gl2, "orbital_canonical_f0", lambda c: original(c) + 1)
+    with pytest.raises(ArithmeticError, match="factorization identity violated"):
+        report_for_class(cls(R, 2, 3))

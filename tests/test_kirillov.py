@@ -86,3 +86,18 @@ def test_conversion_report_product():
         assert abs(rep.product - 1.0) <= 1e-12
         assert rep.realized_sign == 1
         assert abs(abs(rep.coefficient) - 1.0 / abs(rep.weyl_disc)) <= 1e-12
+
+
+def test_conversion_report_violation_is_arithmetic_error(monkeypatch, capsys):
+    import json
+
+    import padic_orbits.kirillov as kirillov
+    from padic_orbits.cli import main
+
+    original = kirillov.sl2_conversion_coefficient
+    monkeypatch.setattr(kirillov, "sl2_conversion_coefficient", lambda t: 2 * original(t))
+    with pytest.raises(ArithmeticError, match="conversion coefficient off"):
+        sl2_conversion_report(1.0)
+    # the CLI reports it as a domain error, not a traceback
+    assert main(["kirillov", "--check", "conversion"]) == 1
+    assert "conversion coefficient off" in json.loads(capsys.readouterr().out)["error"]

@@ -14,7 +14,6 @@ from padic_orbits.quadglobal import (
     class_number,
     class_number_scan,
     cnf_report,
-    cnf_residual,
     dirichlet_L1,
     finite_adelic_volume,
     global_identity_check,
@@ -116,7 +115,8 @@ def test_dirichlet_L1_matches_direct_sum(disc, terms):
 
 def test_package_imports_without_numpy():
     code = ("import sys; sys.modules['numpy'] = None; "
-            "from padic_orbits import cnf_report; sys.exit(not cnf_report(-23, 10 ** 6).ok)")
+            "import padic_orbits.cli; from padic_orbits.quadglobal import cnf_report; "
+            "sys.exit(not cnf_report(-23, 10 ** 6).ok)")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
@@ -136,8 +136,8 @@ def test_dirichlet_L1_preconditions():
 
 
 def test_cnf_residual_examples():
-    assert cnf_residual(-1, 10 ** 6) < 1e-5
-    assert cnf_residual(-23, 10 ** 6) < 1e-4
+    assert cnf_report(-1, 10 ** 6).residual < 1e-5
+    assert cnf_report(-23, 10 ** 6).residual < 1e-4
     rep = cnf_report(-163, 10 ** 6)
     assert rep.field.h == 1 and rep.ok
 
@@ -165,6 +165,21 @@ def test_global_identity_off_s_triviality():
     rep = global_identity_check(1, 6, 10 ** 5)
     assert len(rep.off_S_samples) == 5
     assert all(v == "1" for v in rep.off_S_samples.values())
+
+
+def test_global_identity_off_s_failure_is_arithmetic_error(monkeypatch):
+    import dataclasses
+
+    import padic_orbits.quadglobal as qg
+
+    original = qg.full_report
+
+    def corrupted(trace, det, p):
+        return dataclasses.replace(original(trace, det, p), O_canonical=Fraction(2))
+
+    monkeypatch.setattr(qg, "full_report", corrupted)
+    with pytest.raises(ArithmeticError, match="off-S canonical integral != 1 at p = 5"):
+        global_identity_check(1, 6, 10 ** 5)
 
 
 def test_global_identity_rejects_hyperbolic():
