@@ -58,11 +58,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("torus-volume", help="closed-form torus volumes at p")
+    p.set_defaults(run=_cmd_torus_volume)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--p", type=_prime, required=True)
     p.add_argument("--norm1", action="store_true")
 
     p = sub.add_parser("point-count", help="brute-force residue counts and volume")
+    p.set_defaults(run=_cmd_point_count)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--p", type=_prime, required=True)
     p.add_argument("--k", type=int, required=True)
@@ -70,11 +72,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--digits", action="store_true")
 
     p = sub.add_parser("disc", help="Weyl discriminant from eigenvalue data")
+    p.set_defaults(run=_cmd_disc)
     p.add_argument("--group", choices=[g.value for g in ws.GroupKind] + ["gl2"], required=True)
     p.add_argument("--eigs", required=True, help="comma-separated rationals")
     p.add_argument("--nu", type=_parse_fraction, default=None)
 
     p = sub.add_parser("orbital", help="GL2 orbital integral report")
+    p.set_defaults(run=_cmd_orbital)
     p.add_argument("--trace", type=_parse_fraction)
     p.add_argument("--det", type=_parse_fraction)
     p.add_argument("--p", type=_prime)
@@ -82,30 +86,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int)
 
     p = sub.add_parser("classnum", help="class number of a negative discriminant")
+    p.set_defaults(run=_cmd_classnum)
     p.add_argument("--disc", type=int, required=True)
 
     p = sub.add_parser("cnf", help="analytic class number formula residual")
+    p.set_defaults(run=_cmd_cnf)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--terms", type=int, default=10 ** 6)
 
     p = sub.add_parser("global-check", help="global volume-orbital identity")
+    p.set_defaults(run=_cmd_global_check)
     p.add_argument("--trace", type=int, required=True)
     p.add_argument("--det", type=int, required=True)
     p.add_argument("--terms", type=int, default=10 ** 6)
 
     p = sub.add_parser("trace", help="trace of a Hecke operator, level one")
+    p.set_defaults(run=_cmd_trace)
     p.add_argument("--k", type=_even_weight, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--oracle", action="store_true")
 
     p = sub.add_parser("tau", help="Ramanujan tau values from the eta product")
+    p.set_defaults(run=_cmd_tau)
     p.add_argument("--upto", type=int, required=True)
 
     p = sub.add_parser("kirillov", help="orbit 2-form numeric checks")
+    p.set_defaults(run=_cmd_kirillov)
     p.add_argument("--check", choices=["cone", "sphere", "conversion"], required=True)
     p.add_argument("--samples", type=int, default=20)
 
     p = sub.add_parser("reproduce-all", help="run every acceptance criterion")
+    p.set_defaults(run=_cmd_reproduce_all)
     p.add_argument("--skip", action="append", default=[],
                    choices=[key for key, _ in acceptance.CRITERIA])
     p.add_argument("--terms", type=int, default=10 ** 6,
@@ -236,26 +247,11 @@ def _cmd_reproduce_all(args) -> int:
     return 0 if all_ok else 1
 
 
-_HANDLERS = {
-    "torus-volume": _cmd_torus_volume,
-    "point-count": _cmd_point_count,
-    "disc": _cmd_disc,
-    "orbital": _cmd_orbital,
-    "classnum": _cmd_classnum,
-    "cnf": _cmd_cnf,
-    "global-check": _cmd_global_check,
-    "trace": _cmd_trace,
-    "tau": _cmd_tau,
-    "kirillov": _cmd_kirillov,
-    "reproduce-all": _cmd_reproduce_all,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return args.run(args)
     except (ValueError, ArithmeticError, KeyError) as exc:
         return _fail(str(exc))
 

@@ -183,9 +183,8 @@ class QHalfPower:
         return float(self.coeff) * float(self.q) ** (self.half_exp / 2)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QHalfPower(self.coeff * other, self.half_exp, self.q)
-        if not isinstance(other, QHalfPower):
+        other = self._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
         self._check_q(other)
         return QHalfPower(self.coeff * other.coeff, self.half_exp + other.half_exp, self.q)
@@ -193,11 +192,8 @@ class QHalfPower:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError("division by zero")
-            return QHalfPower(self.coeff / other, self.half_exp, self.q)
-        if not isinstance(other, QHalfPower):
+        other = self._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
         self._check_q(other)
         if other.coeff == 0:
@@ -205,9 +201,8 @@ class QHalfPower:
         return QHalfPower(self.coeff / other.coeff, self.half_exp - other.half_exp, self.q)
 
     def __rtruediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QHalfPower(Fraction(other), 0, self.q) / self
-        return NotImplemented
+        other = self._coerce(other)
+        return other if other is NotImplemented else other / self
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -233,6 +228,10 @@ class QHalfPower:
         if other is NotImplemented:
             return NotImplemented
         return self + -other
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        return other if other is NotImplemented else other - self
 
     def __neg__(self):
         return QHalfPower(-self.coeff, self.half_exp, self.q)

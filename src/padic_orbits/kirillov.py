@@ -125,6 +125,6 @@ def sl2_conversion_report(t: float) -> ConversionReport:
     disc = float(weyl_disc(SpectralData(GroupKind.SLN_LIE, (ft, -ft))))
     product = coeff * disc
     if abs(product - 1.0) > 1e-12:
-        raise ArithmeticError(f"conversion coefficient off |D|^-1 by {abs(product) - 1.0}")
+        raise ArithmeticError(f"conversion coefficient off |D|^-1 by {abs(product - 1.0)}")
     sign = 1 if coeff * (1.0 / disc) > 0 else -1
     return ConversionReport(t, coeff, disc, product, sign)

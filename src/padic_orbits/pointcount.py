@@ -22,8 +22,9 @@ from typing import Optional
 from .exact import _require_prime, frac_to_json, is_squarefree
 
 _ENUM_BUDGET = 10 ** 9
-# Newton: a mod-2^(k+2) congruence solution of the norm-one equation agrees
-# with a true Z_2 solution mod 2^k (the gradient has valuation <= 1 there).
+# Hensel: a mod-2^(k+2) congruence solution of the norm-one equation agrees
+# with a true Z_2 solution mod 2^k (the gradient (2x, -2dy) has valuation
+# exactly 1 on the curve).
 _P2_LIFT_BUFFER = 2
 
 
@@ -84,13 +85,11 @@ def _norm_one_solution_pairs(d: int, p: int, k: int) -> set[tuple[int, int]]:
     return out
 
 
-def _norm_one_image_count(d: int, p: int, k: int) -> int:
-    if p != 2:
-        # Smooth over Z_p for odd p: every congruence solution lifts.
-        return _norm_one_congruence_count(d, p, k)
+def _norm_one_2adic_image(d: int, k: int) -> set[tuple[int, int]]:
+    """Residue pairs mod 2^k of the Z_2-points of x^2 - d y^2 = 1."""
     deep = _norm_one_solution_pairs(d, 2, k + _P2_LIFT_BUFFER)
     mask = (1 << k) - 1
-    return len({(x & mask, y & mask) for x, y in deep})
+    return {(x & mask, y & mask) for x, y in deep}
 
 
 def count_mod(eq: NormEquation, p: int, k: int) -> int:
@@ -103,7 +102,10 @@ def count_mod(eq: NormEquation, p: int, k: int) -> int:
     _check_args(p, k)
     if eq.constraint is Constraint.UNIT_NORM:
         return _unit_norm_count_mod_p(eq.epsilon, p) * p ** (2 * (k - 1))
-    return _norm_one_image_count(eq.epsilon, p, k)
+    if p == 2:
+        return len(_norm_one_2adic_image(eq.epsilon, k))
+    # Smooth over Z_p for odd p: every congruence solution lifts.
+    return _norm_one_congruence_count(eq.epsilon, p, k)
 
 
 def raw_count_mod(eq: NormEquation, p: int, k: int) -> int:
@@ -292,8 +294,8 @@ def _classify_digits(vecs: set[tuple[int, ...]], depth: int) -> tuple[DigitConst
 def digit_table(eq: NormEquation, depth: int) -> DigitTable:
     """2-adic digit analysis of the solution set, to the given digit depth.
 
-    Enumerates solutions mod 2^(depth + buffer), projects to the first
-    `depth` digits of (x, y), and classifies each digit in the order
+    Takes the image of the 2-adic solution set mod 2^depth (the projection
+    count_mod counts at p = 2) and classifies each digit in the order
     x0, y0, x1, y1, ... as forced, free, or affinely determined by earlier
     digits.  The same classification is emitted per solution component
     (grouped by the leading digit pair), which is the shape hand analyses
@@ -303,9 +305,7 @@ def digit_table(eq: NormEquation, depth: int) -> DigitTable:
         raise ValueError("digit tables are defined for the norm-one constraint")
     if not 1 <= depth <= 6:
         raise ValueError("depth must be between 1 and 6")
-    pts = _norm_one_solution_pairs(eq.epsilon, 2, depth + _P2_LIFT_BUFFER + 1)
-    mask = (1 << depth) - 1
-    proj = {(x & mask, y & mask) for x, y in pts}
+    proj = _norm_one_2adic_image(eq.epsilon, depth)
 
     def to_vec(x: int, y: int) -> tuple[int, ...]:
         return tuple(b for i in range(depth) for b in (((x >> i) & 1), ((y >> i) & 1)))

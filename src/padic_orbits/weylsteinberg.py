@@ -77,50 +77,32 @@ def _require_regular(spectrum: Sequence[Fraction]) -> None:
         raise ValueError("not regular semisimple: repeated eigenvalue")
 
 
+def _positive_roots(s: SpectralData) -> list[Fraction]:
+    """Values alpha(gamma) of the positive roots; the negative roots take the
+    inverse values (groups) or the negated values (Lie algebras)."""
+    eigs = s.eigenvalues
+    pairs = [(a, b) for i, a in enumerate(eigs) for b in eigs[i + 1:]]
+    if s.group is GroupKind.GLN:
+        return [a / b for a, b in pairs]
+    if s.group is GroupKind.SLN_LIE:
+        return [a - b for a, b in pairs]
+    if s.group is GroupKind.SP2N_LIE:
+        return [r for a, b in pairs for r in (a - b, a + b)] + [2 * x for x in eigs]
+    nu = Fraction(1) if s.group is GroupKind.SP2N else s.multiplier
+    return [r for a, b in pairs for r in (a / b, a * b / nu)] + [x * x / nu for x in eigs]
+
+
 def weyl_disc(s: SpectralData) -> Fraction:
     """Signed Weyl discriminant det(1 - Ad) or det(ad) on g/t, exactly.
 
-    Group cases use the multiplicative root-value products; the Lie algebra
-    cases multiply the root values directly (for sp_2n the roots are
-    +-(li - lj), +-(li + lj), +-2 li).
+    The product over the positive roots of (1 - alpha)(1 - 1/alpha) for the
+    groups and of alpha * (-alpha) = -alpha^2 for the Lie algebras.
     """
-    full = s.full_spectrum()
-    _require_regular(full)
-    eigs = s.eigenvalues
-    if s.group is GroupKind.GLN:
-        out = Fraction(1)
-        for i, a in enumerate(eigs):
-            for j, b in enumerate(eigs):
-                if i != j:
-                    out *= 1 - a / b
-        return out
-    if s.group is GroupKind.SLN_LIE:
-        out = Fraction(1)
-        for i, a in enumerate(eigs):
-            for j, b in enumerate(eigs):
-                if i != j:
-                    out *= a - b
-        return out
-    if s.group is GroupKind.SP2N_LIE:
-        out = Fraction(1)
-        n = len(eigs)
-        for i in range(n):
-            for j in range(i + 1, n):
-                for root in (eigs[i] - eigs[j], eigs[j] - eigs[i],
-                             eigs[i] + eigs[j], -eigs[i] - eigs[j]):
-                    out *= root
-        for x in eigs:
-            out *= (2 * x) * (-2 * x)
-        return out
-    nu = Fraction(1) if s.group is GroupKind.SP2N else s.multiplier
+    _require_regular(s.full_spectrum())
+    lie = s.group in (GroupKind.SLN_LIE, GroupKind.SP2N_LIE)
     out = Fraction(1)
-    n = len(eigs)
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = eigs[i], eigs[j]
-            out *= (1 - a / b) * (1 - b / a) * (1 - a * b / nu) * (1 - nu / (a * b))
-    for x in eigs:
-        out *= (1 - x * x / nu) * (1 - nu / (x * x))
+    for a in _positive_roots(s):
+        out *= -a * a if lie else (1 - a) * (1 - 1 / a)
     return out
 
 

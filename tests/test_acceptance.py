@@ -8,6 +8,7 @@ published values cannot be reproduced and why.  Everything else must pass.
 """
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -85,6 +86,51 @@ def test_corrupted_constant_trips_the_gate(monkeypatch):
     monkeypatch.setattr(gl2local, "orbital_canonical_f0", corrupted)
     result = acceptance.criterion_4_gl2_factorization()
     assert not result.ok
+    assert "FAIL factorization Hyperbolic q=2 d=0" in result.details
+
+
+def _doubled(module, name):
+    original = getattr(module, name)
+    return module, name, lambda *args: 2 * original(*args)
+
+
+def _failure_cases():
+    from padic_orbits import eichlerselberg, kirillov, localquad, quadglobal, weylsteinberg
+    from padic_orbits.pointcount import DigitConstraint
+
+    sqrt3_table = list(acceptance._REFERENCE_TABLE_SQRT3)
+    sqrt3_table[3] = DigitConstraint("y", 1, "free")
+    cases = [
+        (acceptance.criterion_1_torus_volumes, _doubled(localquad, "norm1_volume"),
+         r"FAIL norm-one volume at p=3 d=-1$"),
+        (acceptance.criterion_2_digit_analysis,
+         (acceptance, "_REFERENCE_TABLE_SQRT3", tuple(sqrt3_table)),
+         r"FAIL: d=3 identity-component row y1 free computed y1 = 0$"),
+        (acceptance.criterion_3_local_cnf,
+         (acceptance, "classnum_local_check", lambda d, p: (d, p) != (-23, 2)),
+         r"FAIL at d=-23, p=2$"),
+        (acceptance.criterion_5_cnf, _doubled(quadglobal, "cnf_target"),
+         r"FAIL at disc=-3: residual \S+ > bound "),
+        (acceptance.criterion_6_global, _doubled(quadglobal, "finite_adelic_volume"),
+         r"FAIL: X\^2 - 1 X \+ 6: residual \S+ >= 1e-4$"),
+        (acceptance.criterion_7_trace_formula, _doubled(eichlerselberg, "dim_cusp_forms"),
+         r"FAIL dimension at k=12$"),
+        (acceptance.criterion_8_orbit_forms, _doubled(kirillov, "sphere_density_spherical"),
+         r"FAIL sphere density error \S+ at phi=\S+, theta="),
+        (acceptance.criterion_9_jacobians, _doubled(weylsteinberg, "sl2_jacobian"),
+         r"FAIL rank-1 derivative at t=-?\d+(/\d+)?$"),
+    ]
+    return [pytest.param(*case, id=case[0].__name__) for case in cases]
+
+
+@pytest.mark.parametrize("criterion, patch, fail_pattern", _failure_cases())
+def test_failure_names_its_input(monkeypatch, criterion, patch, fail_pattern):
+    # A corrupted closed form fails the criterion; its FAIL line, which comes
+    # after the summary details, names the input it failed at.
+    monkeypatch.setattr(*patch)
+    result = criterion()
+    assert not result.ok
+    assert any(re.match(fail_pattern, line) for line in result.details), result.details
 
 
 # -- published table values refuted by enumeration -------------------------

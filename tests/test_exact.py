@@ -130,8 +130,8 @@ def test_qhalf_cross_q_operations_rejected():
 
 
 @pytest.mark.parametrize("op", [
-    lambda a: a + "x", lambda a: "x" + a, lambda a: a - "x",
-], ids=["add", "radd", "sub"])
+    lambda a: a + "x", lambda a: "x" + a, lambda a: a - "x", lambda a: "x" - a,
+], ids=["add", "radd", "sub", "rsub"])
 def test_qhalf_foreign_operand_is_type_error(op):
     with pytest.raises(TypeError):
         op(qhalf(1, 3))
@@ -142,6 +142,9 @@ def test_qhalf_sub_examples():
     assert qhalf(1, 3, -2) - Fraction(1, 3) == qhalf_zero(3)
     assert qhalf(5, 3) - 2 == qhalf(3, 3)
     assert qhalf(2, 5, -1) - qhalf(1, 5, -1) == qhalf(1, 5, -1)
+    assert 2 - qhalf(1, 3) == 1
+    with pytest.raises(ValueError, match="incommensurable"):
+        1 - qhalf(1, 3, 1)
 
 
 def test_qhalf_sqrt():

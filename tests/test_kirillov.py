@@ -101,3 +101,13 @@ def test_conversion_report_violation_is_arithmetic_error(monkeypatch, capsys):
     # the CLI reports it as a domain error, not a traceback
     assert main(["kirillov", "--check", "conversion"]) == 1
     assert "conversion coefficient off" in json.loads(capsys.readouterr().out)["error"]
+
+
+def test_conversion_report_witness_is_distance_from_one(monkeypatch):
+    # A coefficient of the wrong sign gives product -1, which is 2.0 away from 1.
+    import padic_orbits.kirillov as kirillov
+
+    original = kirillov.sl2_conversion_coefficient
+    monkeypatch.setattr(kirillov, "sl2_conversion_coefficient", lambda t: -original(t))
+    with pytest.raises(ArithmeticError, match=r"off \|D\|\^-1 by 2\.0$"):
+        sl2_conversion_report(1.0)

@@ -2,9 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from padic_orbits.exact import is_squarefree
 from padic_orbits.pointcount import (
     Constraint,
     NormEquation,
+    _norm_one_2adic_image,
+    _norm_one_solution_pairs,
     count_mod,
     digit_table,
     raw_count_mod,
@@ -177,3 +180,16 @@ def test_digit_table_requires_norm_one():
         digit_table(eq(-1, UNIT), 3)
     with pytest.raises(ValueError):
         digit_table(eq(-1, ONE), 9)
+
+
+def test_2adic_image_matches_deeper_projection():
+    # Hensel needs a lift buffer of 2 levels; projecting from 3 levels deeper
+    # (the buffer digit_table once used) must give the same image.
+    for d in range(-50, 51):
+        if not is_squarefree(d):
+            continue
+        for k in range(1, 7):
+            mask = (1 << k) - 1
+            deeper = {(x & mask, y & mask) for x, y in _norm_one_solution_pairs(d, 2, k + 3)}
+            assert _norm_one_2adic_image(d, k) == deeper, (d, k)
+            assert digit_table(eq(d, ONE), k).pattern_count == count_mod(eq(d, ONE), 2, k)

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from padic_orbits.exact import abs_p, ord_p, qhalf
 from padic_orbits.weylsteinberg import (
@@ -27,6 +28,42 @@ def test_weyl_disc_examples():
     assert weyl_disc(SpectralData(GroupKind.GLN, (F(2), F(3)))) == F(-1, 6)
     assert weyl_disc(SpectralData(GroupKind.SP2N, (F(2),))) == F(-9, 4)
     assert weyl_disc(SpectralData(GroupKind.SLN_LIE, (F(3), F(-3)))) == -36
+
+
+def test_weyl_disc_rank_two_pins():
+    # Values of the per-family products before they shared one root table.
+    assert weyl_disc(SpectralData(GroupKind.GLN, (F(2), F(3), F(-5)))) == F(-784, 225)
+    assert weyl_disc(SpectralData(GroupKind.SP2N, (F(2), F(3)))) == F(100, 9)
+    assert weyl_disc(SpectralData(GroupKind.GSP2N, (F(2), F(3, 5)), F(7))) == F(5793649, 157500)
+    assert weyl_disc(SpectralData(GroupKind.SP2N_LIE, (F(1, 2), F(3)))) == F(11025, 4)
+
+
+_small_nonzero = st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool)
+
+
+@given(group=st.sampled_from(GroupKind), eigs=st.lists(_small_nonzero, min_size=1, max_size=3),
+       nu=_small_nonzero, data=st.data())
+def test_weyl_disc_is_weyl_invariant(group, eigs, nu, data):
+    # The Weyl group permutes the eigenvalues and, for the symplectic families,
+    # swaps l with its partner nu/l (groups) or -l (Lie algebra).
+    if group is GroupKind.SLN_LIE:
+        eigs = eigs + [-sum(eigs)]
+    multiplier = nu if group is GroupKind.GSP2N else None
+    moved = data.draw(st.permutations(eigs))
+    flips = data.draw(st.lists(st.booleans(), min_size=len(eigs), max_size=len(eigs)))
+    if group in (GroupKind.SP2N, GroupKind.GSP2N):
+        partner = multiplier or F(1)
+        moved = [partner / x if f else x for x, f in zip(moved, flips)]
+    elif group is GroupKind.SP2N_LIE:
+        moved = [-x if f else x for x, f in zip(moved, flips)]
+
+    def disc(e):
+        try:
+            return weyl_disc(SpectralData(group, tuple(e), multiplier))
+        except ValueError as exc:  # non-regular spectra are rejected either way
+            return str(exc)
+
+    assert disc(moved) == disc(eigs)
 
 
 def test_weyl_disc_rejects_non_regular():
