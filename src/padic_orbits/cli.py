@@ -49,6 +49,13 @@ def _even_weight(text: str) -> int:
     return value
 
 
+def _positive_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not a positive count")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="padic-orbits",
@@ -113,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kirillov", help="orbit 2-form numeric checks")
     p.set_defaults(run=_cmd_kirillov)
     p.add_argument("--check", choices=["cone", "sphere", "conversion"], required=True)
-    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--samples", type=_positive_count, default=20)
 
     p = sub.add_parser("reproduce-all", help="run every acceptance criterion")
     p.set_defaults(run=_cmd_reproduce_all)

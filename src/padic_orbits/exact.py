@@ -22,7 +22,8 @@ def is_prime(n: int) -> bool:
     """Deterministic primality check for n < 2^64 (and a fair bit beyond)."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    # Miller-Rabin below needs every witness to be a unit mod n.
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0

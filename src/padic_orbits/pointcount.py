@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
 from .exact import _require_prime, frac_to_json, is_squarefree
 
@@ -55,34 +55,28 @@ def _check_args(p: int, k: int) -> None:
         raise ValueError(f"enumeration budget exceeded: p^2k = {p ** (2 * k)} > {_ENUM_BUDGET}")
 
 
-def _square_root_table(m: int) -> dict[int, list[int]]:
-    """r -> all x in Z/m with x^2 = r, by one full pass."""
-    table: dict[int, list[int]] = {}
+def _fibres(d: int, c: int, m: int) -> Iterator[tuple[int, Sequence[int]]]:
+    """Yield (y, [x mod m with x^2 = c + d y^2 mod m]) for each y mod m, from
+    one pass over the squares mod m."""
+    roots: dict[int, list[int]] = {}
     for x in range(m):
-        table.setdefault(x * x % m, []).append(x)
-    return table
+        roots.setdefault(x * x % m, []).append(x)
+    for y in range(m):
+        yield y, roots.get((c + d * y * y) % m, ())
 
 
-def _unit_norm_count_mod_p(d: int, p: int) -> int:
-    # The unit condition only depends on (x, y) mod p; plain double loop.
-    return sum(1 for x in range(p) for y in range(p) if (x * x - d * y * y) % p != 0)
-
-
-def _norm_one_congruence_count(d: int, p: int, k: int) -> int:
-    """Plain count of pairs mod p^k with x^2 - d y^2 = 1 mod p^k."""
-    m = p ** k
-    sq = _square_root_table(m)
-    return sum(len(sq.get((1 + d * y * y) % m, ())) for y in range(m))
+def _congruence_count(eq: NormEquation, p: int, k: int) -> int:
+    """Plain count of pairs mod p^k satisfying eq."""
+    if eq.constraint is Constraint.UNIT_NORM:
+        # The unit condition only depends on (x, y) mod p: every pair except
+        # the zeros of the norm form.
+        zeros = sum(len(xs) for _, xs in _fibres(eq.epsilon, 0, p))
+        return (p * p - zeros) * p ** (2 * (k - 1))
+    return sum(len(xs) for _, xs in _fibres(eq.epsilon, 1, p ** k))
 
 
 def _norm_one_solution_pairs(d: int, p: int, k: int) -> set[tuple[int, int]]:
-    m = p ** k
-    sq = _square_root_table(m)
-    out = set()
-    for y in range(m):
-        for x in sq.get((1 + d * y * y) % m, ()):
-            out.add((x, y))
-    return out
+    return {(x, y) for y, xs in _fibres(d, 1, p ** k) for x in xs}
 
 
 def _norm_one_2adic_image(d: int, k: int) -> set[tuple[int, int]]:
@@ -100,20 +94,16 @@ def count_mod(eq: NormEquation, p: int, k: int) -> int:
     of the 2-adic solution set, computed by buffered projection.
     """
     _check_args(p, k)
-    if eq.constraint is Constraint.UNIT_NORM:
-        return _unit_norm_count_mod_p(eq.epsilon, p) * p ** (2 * (k - 1))
-    if p == 2:
+    if p == 2 and eq.constraint is Constraint.NORM_ONE:
         return len(_norm_one_2adic_image(eq.epsilon, k))
-    # Smooth over Z_p for odd p: every congruence solution lifts.
-    return _norm_one_congruence_count(eq.epsilon, p, k)
+    # Unit-norm pairs and points of the odd-p curve (smooth over Z_p) all lift.
+    return _congruence_count(eq, p, k)
 
 
 def raw_count_mod(eq: NormEquation, p: int, k: int) -> int:
     """Literal congruence-solution count mod p^k (no lifting filter)."""
     _check_args(p, k)
-    if eq.constraint is Constraint.UNIT_NORM:
-        return _unit_norm_count_mod_p(eq.epsilon, p) * p ** (2 * (k - 1))
-    return _norm_one_congruence_count(eq.epsilon, p, k)
+    return _congruence_count(eq, p, k)
 
 
 @dataclass(frozen=True)

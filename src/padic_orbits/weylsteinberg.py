@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .exact import (
     QHalfPower,
@@ -63,19 +63,6 @@ class SpectralData:
         if self.group is GroupKind.SLN_LIE and sum(eigs) != 0:
             raise ValueError("sl eigenvalues must sum to zero")
 
-    def full_spectrum(self) -> tuple[Fraction, ...]:
-        if self.group in (GroupKind.GLN, GroupKind.SLN_LIE):
-            return self.eigenvalues
-        if self.group is GroupKind.SP2N_LIE:
-            return self.eigenvalues + tuple(-x for x in self.eigenvalues)
-        nu = Fraction(1) if self.group is GroupKind.SP2N else self.multiplier
-        return self.eigenvalues + tuple(nu / x for x in self.eigenvalues)
-
-
-def _require_regular(spectrum: Sequence[Fraction]) -> None:
-    if len(set(spectrum)) != len(spectrum):
-        raise ValueError("not regular semisimple: repeated eigenvalue")
-
 
 def _positive_roots(s: SpectralData) -> list[Fraction]:
     """Values alpha(gamma) of the positive roots; the negative roots take the
@@ -96,13 +83,16 @@ def weyl_disc(s: SpectralData) -> Fraction:
     """Signed Weyl discriminant det(1 - Ad) or det(ad) on g/t, exactly.
 
     The product over the positive roots of (1 - alpha)(1 - 1/alpha) for the
-    groups and of alpha * (-alpha) = -alpha^2 for the Lie algebras.
+    groups and of alpha * (-alpha) = -alpha^2 for the Lie algebras.  A factor
+    vanishes (alpha = 1, resp. alpha = 0) exactly when two entries of the full
+    spectrum coincide, so D(gamma) != 0 is the regularity test.
     """
-    _require_regular(s.full_spectrum())
     lie = s.group in (GroupKind.SLN_LIE, GroupKind.SP2N_LIE)
     out = Fraction(1)
     for a in _positive_roots(s):
         out *= -a * a if lie else (1 - a) * (1 - 1 / a)
+    if out == 0:
+        raise ValueError("not regular semisimple: repeated eigenvalue")
     return out
 
 

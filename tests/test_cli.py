@@ -135,6 +135,15 @@ def test_kirillov_checks(capsys):
     assert all(abs(r["coefficient_times_disc"] - 1.0) < 1e-12 for r in reports)
 
 
+@pytest.mark.parametrize("check", ["cone", "sphere"])
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_kirillov_needs_a_sample(check, samples):
+    # A check over no samples would report worst_abs_error 0.0 and pass.
+    with pytest.raises(SystemExit) as exc:
+        main(["kirillov", "--check", check, "--samples", samples])
+    assert exc.value.code == 2
+
+
 def test_domain_error_payload(capsys):
     code, out = run_cli(capsys, "classnum", "--disc", "5")
     assert code == 1

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from padic_orbits.exact import is_squarefree
+from padic_orbits.exact import is_prime, is_squarefree
 from padic_orbits.pointcount import (
     Constraint,
     NormEquation,
@@ -20,6 +20,17 @@ ONE = Constraint.NORM_ONE
 
 def eq(d, c):
     return NormEquation(d, c)
+
+
+SQUAREFREE_D = [d for d in range(-30, 31) if is_squarefree(d)]
+PRIMES_BELOW_60 = [p for p in range(2, 60) if is_prime(p)]
+# (p, k) with p^k <= 343 = 7^3
+PRIME_POWERS = [(p, k) for p in PRIMES_BELOW_60 for k in range(1, 9) if p ** k <= 343]
+
+
+def loop_count(d, m, rhs, modulus):
+    """Pairs (x, y) mod m with x^2 - d y^2 = rhs mod `modulus`, by double loop."""
+    return sum(1 for x in range(m) for y in range(m) if (x * x - d * y * y - rhs) % modulus == 0)
 
 
 def test_count_mod_examples():
@@ -57,6 +68,25 @@ def test_budget_guard():
 def test_level_must_be_positive(count, c, k):
     with pytest.raises(ValueError, match="k must be >= 1"):
         count(eq(-1, c), 3, k)
+
+
+@pytest.mark.parametrize("p", PRIMES_BELOW_60)
+def test_unit_norm_counts_match_double_loop(p):
+    # The norm is a unit iff it is nonzero mod p.  Past p = 13 the loop over
+    # (Z/p^2)^2 is too slow; a pair mod p^2 then counts through its reduction.
+    for d in SQUAREFREE_D:
+        units = p * p - loop_count(d, p, 0, p)
+        lifted = units * p * p if p > 13 else p ** 4 - loop_count(d, p * p, 0, p)
+        for k, expected in ((1, units), (2, lifted)):
+            assert count_mod(eq(d, UNIT), p, k) == expected, (d, k)
+            assert raw_count_mod(eq(d, UNIT), p, k) == expected, (d, k)
+
+
+@pytest.mark.parametrize("p, k", PRIME_POWERS)
+def test_norm_one_congruence_count_matches_double_loop(p, k):
+    m = p ** k
+    for d in SQUAREFREE_D:
+        assert raw_count_mod(eq(d, ONE), p, k) == loop_count(d, m, 1, m), d
 
 
 def test_raw_vs_image_counts():

@@ -66,6 +66,35 @@ def test_weyl_disc_is_weyl_invariant(group, eigs, nu, data):
     assert disc(moved) == disc(eigs)
 
 
+# A small pool, so that repeats, l = +-1, l * l' = nu and (Lie) 0 are common.
+_pool = st.sampled_from([F(1), F(-1), F(2), F(-2), F(1, 2), F(-1, 2), F(3), F(2, 3)])
+
+
+@given(group=st.sampled_from(GroupKind), data=st.data())
+def test_weyl_disc_rejects_exactly_the_repeated_spectra(group, data):
+    lie = group in (GroupKind.SLN_LIE, GroupKind.SP2N_LIE)
+    eigs = data.draw(st.lists(st.one_of(_pool, st.just(F(0))) if lie else _pool,
+                              min_size=1, max_size=3))
+    if group is GroupKind.SLN_LIE:
+        eigs = eigs + [-sum(eigs)]
+    multiplier = None
+    if group is GroupKind.GSP2N:
+        multiplier = data.draw(st.one_of(_pool, st.just(eigs[0] * eigs[-1])))
+    # The full spectrum: l and its partner nu/l (Sp, GSp) or -l (sp).
+    if group in (GroupKind.SP2N, GroupKind.GSP2N):
+        spectrum = eigs + [(multiplier or 1) / x for x in eigs]
+    elif group is GroupKind.SP2N_LIE:
+        spectrum = eigs + [-x for x in eigs]
+    else:
+        spectrum = eigs
+    s = SpectralData(group, tuple(eigs), multiplier)
+    if len(set(spectrum)) == len(spectrum):
+        assert weyl_disc(s) != 0
+    else:
+        with pytest.raises(ValueError, match="regular"):
+            weyl_disc(s)
+
+
 def test_weyl_disc_rejects_non_regular():
     with pytest.raises(ValueError, match="regular"):
         weyl_disc(SpectralData(GroupKind.GLN, (F(2), F(2))))
