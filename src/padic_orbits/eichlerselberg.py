@@ -18,6 +18,7 @@ from .quadglobal import hurwitz_hw
 
 _ONE_DIM_WEIGHTS = {12: (0, 0), 16: (1, 0), 18: (0, 1), 20: (2, 0), 22: (1, 1), 26: (2, 1)}
 _SERIES_CAP = 10 ** 4
+_TRACE_CAP = 10 ** 5
 
 
 def gegenbauer_like(t: int, n: int, j: int) -> int:
@@ -75,23 +76,32 @@ def trace_formula(k: int, n: int) -> TraceTerms:
     rhs_total is the normalized n^(1 - k/2) Tr T_n; its three summands keep
     their signs.  The elliptic sum runs over all integers t with t^2 < 4n,
     weighting U_{k-2}(t, n) by the weighted class numbers of the orders
-    containing the root of X^2 - t X + n.  Non-integral traces are a hard
-    error: they would mean a corrupted constant somewhere.
+    containing the root of X^2 - t X + n.  For even k both factors are even
+    in t, so t = 0 is summed once and each t > 0 twice.  The hyperbolic sum
+    of min(d, n/d)^(k-1) over the divisors d of n pairs d with n/d, so it
+    walks d <= sqrt(n) only.  Non-integral traces are a hard error: they
+    would mean a corrupted constant somewhere.
     """
     if k % 2 or k < 4:
         raise ValueError("weight must be an even integer >= 4")
     if n < 1:
         raise ValueError("n must be a positive integer")
-    identity = Fraction(k - 1, 12) if isqrt(n) ** 2 == n else Fraction(0)
+    if n > _TRACE_CAP:
+        raise ValueError(
+            f"n must be at most {_TRACE_CAP}: the elliptic sum does O(n^(3/2)) class-number work"
+        )
+    root = isqrt(n)
+    square = root * root == n
+    identity = Fraction(k - 1, 12) if square else Fraction(0)
     scale = Fraction(n) ** (1 - k // 2)
     elliptic_sum = Fraction(0)
-    tmax = isqrt(4 * n)
-    for t in range(-tmax, tmax + 1):
-        if t * t >= 4 * n:
-            continue
-        elliptic_sum += gegenbauer_like(t, n, k - 2) * _weighted_class_sum(t * t - 4 * n)
+    for t in range(isqrt(4 * n - 1) + 1):
+        term = gegenbauer_like(t, n, k - 2) * _weighted_class_sum(t * t - 4 * n)
+        elliptic_sum += term if t == 0 else 2 * term
     elliptic = -scale * elliptic_sum / 2
-    divisor_sum = sum(min(d, n // d) ** (k - 1) for d in range(1, n + 1) if n % d == 0)
+    divisor_sum = sum(2 * d ** (k - 1) for d in range(1, root + 1) if n % d == 0)
+    if square:
+        divisor_sum -= root ** (k - 1)
     hyperbolic = -scale * Fraction(divisor_sum) / 2
     total = identity + elliptic + hyperbolic
     scaled = total * Fraction(n) ** (k // 2 - 1)
@@ -112,7 +122,15 @@ def dim_cusp_forms(k: int) -> int:
 
 
 class PowerSeriesZ:
-    """Dense integer power series truncated at a fixed order."""
+    """Dense integer power series truncated at a fixed order.
+
+    The product is an exact Kronecker substitution: each factor is packed
+    into one integer with w-byte slots, the two integers are multiplied once,
+    and the low order + 1 slots are read back.  Every coefficient of the full
+    product is a sum of at most order + 1 terms, so its absolute value is at
+    most (order + 1) * max|a_i| * max|b_j|; w is the least byte count that
+    holds that bound plus a sign bit, so no slot carries into the next.
+    """
 
     __slots__ = ("coeffs", "order")
 
@@ -128,15 +146,19 @@ class PowerSeriesZ:
         if self.order != other.order:
             raise ValueError("mismatched truncation orders")
         n = self.order
-        other_coeffs = other.coeffs
-        out = [0] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j in range(n + 1 - i):
-                    b = other_coeffs[j]
-                    if b:
-                        out[i + j] += a * b
-        return PowerSeriesZ(out, n)
+        bound = (n + 1) * max(map(abs, self.coeffs)) * max(map(abs, other.coeffs))
+        if not bound:
+            return PowerSeriesZ([], n)
+        w = bound.bit_length() // 8 + 1   # bound < 2^(8w - 1)
+        slots = w * (n + 1)
+        half = 1 << (8 * w - 1)
+        # offset every kept slot by half, so each holds c + half in [0, 2^(8w))
+        offset = int.from_bytes(half.to_bytes(w, "little") * (n + 1), "little")
+        low = (_pack(self.coeffs, w) * _pack(other.coeffs, w) + offset) & ((1 << (8 * slots)) - 1)
+        raw = low.to_bytes(slots, "little")
+        return PowerSeriesZ(
+            [int.from_bytes(raw[i : i + w], "little") - half for i in range(0, slots, w)], n
+        )
 
     def __getitem__(self, i: int) -> int:
         return self.coeffs[i]
@@ -147,6 +169,14 @@ class PowerSeriesZ:
     def __repr__(self):
         head = ", ".join(str(c) for c in self.coeffs[:8])
         return f"PowerSeriesZ([{head}, ...], order={self.order})"
+
+
+def _pack(coeffs: list[int], w: int) -> int:
+    # sum c_i 2^(8 w i), as the difference of the positive and negative parts
+    zero = bytes(w)
+    pos = b"".join(c.to_bytes(w, "little") if c > 0 else zero for c in coeffs)
+    neg = b"".join((-c).to_bytes(w, "little") if c < 0 else zero for c in coeffs)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 def _eta_cubed(order: int) -> PowerSeriesZ:
@@ -163,8 +193,7 @@ def eta_tau(N: int) -> list[int]:
     """tau(1..N) from q * prod (1 - q^m)^24, exact integers; index 0 unused.
 
     The 24th power is built as the 8th power of the cubed product, whose
-    expansion is sparse; with it on the left, each product only walks the
-    dense factor once per nonzero term.
+    expansion is the sparse Jacobi series, in seven series products.
     """
     if not 1 <= N <= _SERIES_CAP:
         raise ValueError(f"N must be between 1 and {_SERIES_CAP}")

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -98,6 +99,14 @@ def test_trace_with_oracle(capsys):
     assert payload["trace"] == "-24"
     assert payload["oracle"] == "-24"
     assert payload["match"] is True
+
+
+def test_trace_over_budget_is_a_json_error_at_once(capsys):
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "trace", "--k", "12", "--n", "1000000000")
+    assert time.perf_counter() - start < 5.0   # the full sum would take hours
+    assert code == 1
+    assert "at most 100000" in json.loads(out)["error"]
 
 
 def test_trace_odd_weight_is_usage_error():

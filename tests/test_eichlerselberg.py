@@ -1,7 +1,10 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
+from hypothesis import given, strategies as st
 
+import padic_orbits.eichlerselberg as es
 from padic_orbits.eichlerselberg import (
     PowerSeriesZ,
     dim_cusp_forms,
@@ -121,3 +124,132 @@ def test_eta_tau_bounds():
         eta_tau(0)
     with pytest.raises(ValueError):
         eta_tau(10 ** 5)
+
+
+def test_trace_budget_rejects_large_n_before_work():
+    cap = es._TRACE_CAP
+    with pytest.raises(ValueError, match=rf"at most {cap}: .*O\(n\^\(3/2\)\) class-number work"):
+        trace_formula(12, cap + 1)
+    with pytest.raises(ValueError, match="at most"):
+        trace_formula(12, 10 ** 9)
+
+
+def test_trace_budget_admits_the_cap(monkeypatch):
+    monkeypatch.setattr(es, "_TRACE_CAP", 50)
+    assert trace_formula(12, 50).trace == eigenform_coeffs(12, 50)[49]
+    with pytest.raises(ValueError, match="at most 50"):
+        trace_formula(12, 51)
+
+
+# --------------------------------------------------------------------------
+# References: the algorithms the package replaced, written out here so that
+# no rule is taken from the code under test.
+
+
+def _dense_product(a, b):
+    # the literal O(N^2) double loop, truncated at the common order
+    n = len(a) - 1
+    out = [0] * (n + 1)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            out[i + j] += a[i] * b[j]
+    return out
+
+
+_HURWITZ = {}
+
+
+def _hurwitz(N):
+    # H(N): reduced forms (a, b, c) of discriminant -N, with (a, 0, a)
+    # weighted 1/2 and (a, a, a) weighted 1/3
+    if N not in _HURWITZ:
+        total = F(0)
+        a = 1
+        while 3 * a * a <= N:
+            for b in range(-a + 1, a + 1):
+                if (b * b + N) % (4 * a):
+                    continue
+                c = (b * b + N) // (4 * a)
+                if c < a or (c == a and b < 0):
+                    continue
+                total += F(1, 2) if b == 0 and c == a else F(1, 3) if b == a == c else 1
+            a += 1
+        _HURWITZ[N] = total
+    return _HURWITZ[N]
+
+
+def _trace_terms_reference(k, n):
+    # every t with t^2 < 4n from -t to t, every divisor d <= n
+    def u(t):
+        a, b = 1, t
+        for _ in range(k - 3):
+            a, b = b, t * b - n * a
+        return b
+
+    scale = F(n) ** (1 - k // 2)
+    identity = F(k - 1, 12) if isqrt(n) ** 2 == n else F(0)
+    tmax = isqrt(4 * n)
+    elliptic = -scale * sum(u(t) * _hurwitz(4 * n - t * t)
+                            for t in range(-tmax, tmax + 1) if t * t < 4 * n) / 2
+    hyperbolic = -scale * sum(min(d, n // d) ** (k - 1) for d in range(1, n + 1) if n % d == 0) / 2
+    total = identity + elliptic + hyperbolic
+    trace = total * F(n) ** (k // 2 - 1)
+    return identity, elliptic, hyperbolic, total, trace
+
+
+def test_hurwitz_reference_values():
+    assert [_hurwitz(N) for N in (3, 4, 7, 8, 11, 12, 15, 16)] == [
+        F(1, 3), F(1, 2), 1, 1, 1, F(4, 3), 2, F(3, 2)]
+
+
+@pytest.mark.parametrize("k", range(4, 41, 2))
+def test_trace_terms_match_full_t_loop(k):
+    for n in range(1, 121):
+        tt = trace_formula(k, n)
+        assert (tt.identity_term, tt.elliptic_term, tt.hyperbolic_term, tt.rhs_total,
+                tt.trace) == _trace_terms_reference(k, n), n
+
+
+@pytest.mark.parametrize("n", [5041, 7560, 9973])
+def test_trace_terms_match_full_t_loop_large_n(n):
+    # a square, a highly composite n and a prime
+    tt = trace_formula(24, n)
+    assert (tt.identity_term, tt.elliptic_term, tt.hyperbolic_term, tt.rhs_total,
+            tt.trace) == _trace_terms_reference(24, n)
+
+
+_COEFF = st.one_of(st.integers(-1, 1), st.integers(-2 ** 300, 2 ** 300))
+
+
+@st.composite
+def _factor(draw, order):
+    kind = draw(st.sampled_from(["dense", "sparse", "zero"]))
+    if kind == "zero":
+        return [0] * (order + 1)
+    coeffs = draw(st.lists(_COEFF, min_size=order + 1, max_size=order + 1))
+    if kind == "sparse":
+        keep = draw(st.sets(st.integers(0, order), max_size=3))
+        coeffs = [c if i in keep else 0 for i, c in enumerate(coeffs)]
+    return coeffs
+
+
+@given(data=st.data(), order=st.integers(0, 60))
+def test_series_product_matches_double_loop(data, order):
+    a = data.draw(_factor(order))
+    b = data.draw(_factor(order))
+    product = PowerSeriesZ(a, order) * PowerSeriesZ(b, order)
+    assert product.order == order
+    assert product.coeffs == _dense_product(a, b)
+    with pytest.raises(ValueError, match="mismatched"):
+        PowerSeriesZ(a, order) * PowerSeriesZ(b + [1], order + 1)
+
+
+@pytest.mark.parametrize("order", [0, 1, 5])
+@pytest.mark.parametrize("top", [2 ** 7 - 1, 2 ** 7, 2 ** 8 - 1, 2 ** 15 - 1, 2 ** 15, 2 ** 64])
+def test_series_product_at_the_slot_bound(order, top):
+    # constant factors make the q^order coefficient equal (order + 1) max|a| max|b|
+    for sa, sb in ((1, 1), (1, -1), (-1, -1)):
+        a, b = [sa * top] * (order + 1), [sb * top] * (order + 1)
+        assert (PowerSeriesZ(a, order) * PowerSeriesZ(b, order)).coeffs == _dense_product(a, b)
+        one = [sb] + [0] * order
+        assert (PowerSeriesZ(a, order) * PowerSeriesZ(one, order)).coeffs == _dense_product(a, one)
