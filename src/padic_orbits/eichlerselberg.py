@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .exact import frac_to_json
-from .quadglobal import hurwitz_hw
+from .quadglobal import hurwitz6
 
 _ONE_DIM_WEIGHTS = {12: (0, 0), 16: (1, 0), 18: (0, 1), 20: (2, 0), 22: (1, 1), 26: (2, 1)}
 _SERIES_CAP = 10 ** 4
@@ -35,17 +35,6 @@ def gegenbauer_like(t: int, n: int, j: int) -> int:
     for _ in range(j - 1):
         a, b = b, t * b - n * a
     return b
-
-
-def _weighted_class_sum(disc: int) -> Fraction:
-    # sum over m >= 1 with m^2 | disc and disc/m^2 = 0 or 1 mod 4
-    total = Fraction(0)
-    m = 1
-    while m * m <= -disc:
-        if disc % (m * m) == 0 and (disc // (m * m)) % 4 in (0, 1):
-            total += hurwitz_hw(disc // (m * m))
-        m += 1
-    return total
 
 
 @dataclass(frozen=True)
@@ -75,9 +64,11 @@ def trace_formula(k: int, n: int) -> TraceTerms:
 
     rhs_total is the normalized n^(1 - k/2) Tr T_n; its three summands keep
     their signs.  The elliptic sum runs over all integers t with t^2 < 4n,
-    weighting U_{k-2}(t, n) by the weighted class numbers of the orders
-    containing the root of X^2 - t X + n.  For even k both factors are even
-    in t, so t = 0 is summed once and each t > 0 twice.  The hyperbolic sum
+    weighting U_{k-2}(t, n) by the Hurwitz class number H(4n - t^2), the
+    weighted class numbers of the orders containing the root of
+    X^2 - t X + n.  For even k both factors are even in t, so t = 0 is
+    summed once and each t > 0 twice.  The sum is accumulated in integers
+    as U_{k-2}(t, n) 6H(4n - t^2) and divided by 6 once.  The hyperbolic sum
     of min(d, n/d)^(k-1) over the divisors d of n pairs d with n/d, so it
     walks d <= sqrt(n) only.  Non-integral traces are a hard error: they
     would mean a corrupted constant somewhere.
@@ -94,11 +85,11 @@ def trace_formula(k: int, n: int) -> TraceTerms:
     square = root * root == n
     identity = Fraction(k - 1, 12) if square else Fraction(0)
     scale = Fraction(n) ** (1 - k // 2)
-    elliptic_sum = Fraction(0)
+    elliptic_sum_6 = 0
     for t in range(isqrt(4 * n - 1) + 1):
-        term = gegenbauer_like(t, n, k - 2) * _weighted_class_sum(t * t - 4 * n)
-        elliptic_sum += term if t == 0 else 2 * term
-    elliptic = -scale * elliptic_sum / 2
+        term = gegenbauer_like(t, n, k - 2) * hurwitz6(t * t - 4 * n)
+        elliptic_sum_6 += term if t == 0 else 2 * term
+    elliptic = -scale * Fraction(elliptic_sum_6, 12)
     divisor_sum = sum(2 * d ** (k - 1) for d in range(1, root + 1) if n % d == 0)
     if square:
         divisor_sum -= root ** (k - 1)

@@ -1,7 +1,10 @@
 """Imaginary quadratic global invariants and the assembled global identity.
 
-Class numbers come from reduced-form enumeration (two independent scan
-orders), L(1, chi) from complete-period partial sums with a proven tail
+Class numbers come from one integer walk over the reduced forms of a
+discriminant, primitive or not: it gives h(D) by counting the primitive
+forms and 6 H(|D|), the Hurwitz class number, by weighting all of them.
+An a-first scan of leading coefficients recounts h(D) independently.
+L(1, chi) comes from complete-period partial sums with a proven tail
 bound, and the global check ties the finite-adelic volume h/w to the
 archimedean side through the local orbital reports.
 """
@@ -11,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import filterfalse
 from math import gcd, isqrt
 
 from .exact import (
@@ -26,9 +30,16 @@ from .gl2local import full_report
 from .localquad import kronecker_symbol
 
 
+_DISC_CAP = 10 ** 8
+
+
 def _check_disc(D: int) -> None:
     if D >= 0 or D % 4 not in (0, 1):
         raise ValueError(f"{D} is not a negative discriminant (0 or 1 mod 4)")
+    if -D > _DISC_CAP:
+        raise ValueError(
+            f"|D| must be at most {_DISC_CAP}: class numbers do O(|D|) work"
+        )
 
 
 @dataclass(frozen=True)
@@ -59,38 +70,82 @@ class ReducedForm:
         return self.b * self.b - 4 * self.a * self.c
 
 
-def reduced_forms(D: int) -> list[ReducedForm]:
-    """All primitive reduced forms of discriminant D < 0, by middle coefficient."""
+def _reduced_triples(D: int):
+    """Yield (a, b, c) with b >= 0 for every reduced form of discriminant D,
+    primitive or not, by middle coefficient b and then leading coefficient a.
+
+    A reduced form has 3 b^2 <= 4 a c - b^2 = |D| and b = D mod 2; for each
+    such b, the a with b <= a <= sqrt(m) dividing m = (b^2 - D) / 4 give
+    c = m / a >= a.  The divisor test runs inside filterfalse.
+    """
     _check_disc(D)
-    out = []
-    b = abs(D) % 2
-    while 3 * b * b <= abs(D):
+    b = D % 2
+    while 3 * b * b <= -D:
         m = (b * b - D) // 4
-        a = max(b, 1)
-        while a * a <= m:
-            if m % a == 0:
-                c = m // a
-                if gcd(gcd(a, b), c) == 1:
-                    out.append(ReducedForm(a, b, c))
-                    if not (b == 0 or b == a or a == c):
-                        out.append(ReducedForm(a, -b, c))
-            a += 1
+        for a in filterfalse(m.__mod__, range(max(b, 1), isqrt(m) + 1)):
+            yield a, b, m // a
         b += 2
+
+
+def reduced_forms(D: int) -> list[ReducedForm]:
+    """All primitive reduced forms of discriminant D < 0, sorted by (a, -b, c).
+
+    Each primitive triple of the walk gives (a, b, c) and, off the boundary
+    (0 < b < a < c), also (a, -b, c).
+    """
+    out = []
+    for a, b, c in _reduced_triples(D):
+        if gcd(a, b, c) == 1:
+            out.append(ReducedForm(a, b, c))
+            if not (b == 0 or b == a or a == c):
+                out.append(ReducedForm(a, -b, c))
     return sorted(out, key=lambda f: (f.a, -f.b, f.c))
 
 
 def class_number(D: int) -> int:
-    """Class number of the order of discriminant D < 0: #(reduced forms)."""
-    return len(reduced_forms(D))
+    """Class number of the order of discriminant D < 0: #(primitive reduced forms).
+
+    Counted on the walk without building forms: a primitive triple stands
+    for one form on the boundary (b = 0, b = a or a = c) and for the two
+    forms (a, +-b, c) off it.
+    """
+    return sum(
+        1 if b == 0 or b == a or a == c else 2
+        for a, b, c in _reduced_triples(D)
+        if gcd(a, b, c) == 1
+    )
+
+
+def hurwitz6(D: int) -> int:
+    """6 H(|D|) as an integer, for a discriminant D < 0.
+
+    H(N) counts the classes of all positive definite forms of discriminant
+    -N, primitive or not, those of a (x^2 + y^2) weighted 1/2 and those of
+    a (x^2 + x y + y^2) weighted 1/3 (Cohen, GTM 138, section 5.3); it equals
+    the sum of h(D/f^2)/u(D/f^2) over the f with D/f^2 a discriminant.  On
+    the walk, times 6: (a, 0, a) weighs 3, (a, a, a) weighs 2, the other
+    boundary triples 6 and the rest 12, which stand for (a, +-b, c).
+    """
+    total = 0
+    for a, b, c in _reduced_triples(D):
+        if b == 0 or b == a or a == c:
+            total += 3 if b == 0 and a == c else 2 if b == a == c else 6
+        else:
+            total += 12
+    return total
 
 
 def class_number_scan(D: int) -> int:
-    """Independent recount: scan leading coefficients and test b^2 = D mod 4a."""
+    """Independent recount: scan leading coefficients and test b^2 = D mod 4a.
+
+    b^2 = D (mod 4a) gives b = b^2 = D (mod 2), so only b of the parity of
+    D can pass; the scan steps b by 2 from the first such b above -a.
+    """
     _check_disc(D)
     count = 0
     a = 1
     while 3 * a * a <= abs(D):
-        for b in range(-a + 1, a + 1):
+        for b in range(-a + 1 + (a + 1 + D) % 2, a + 1, 2):
             if (b * b - D) % (4 * a):
                 continue
             c = (b * b - D) // (4 * a)

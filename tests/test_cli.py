@@ -92,6 +92,14 @@ def test_classnum(capsys):
     assert payload["class_number"] == "3"
 
 
+def test_classnum_over_budget_is_a_json_error_at_once(capsys):
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "classnum", "--disc", "-1000000000000")
+    assert time.perf_counter() - start < 5.0   # the walk would take hours
+    assert code == 1
+    assert "at most 100000000" in json.loads(out)["error"]
+
+
 def test_trace_with_oracle(capsys):
     code, out = run_cli(capsys, "trace", "--k", "12", "--n", "2", "--oracle")
     assert code == 0

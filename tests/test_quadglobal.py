@@ -6,7 +6,9 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import padic_orbits.quadglobal as qg
 from padic_orbits.exact import is_fundamental_discriminant
 from padic_orbits.localquad import kronecker_symbol
 from padic_orbits.quadglobal import (
@@ -17,6 +19,7 @@ from padic_orbits.quadglobal import (
     dirichlet_L1,
     finite_adelic_volume,
     global_identity_check,
+    hurwitz6,
     hurwitz_hw,
     quad_field_data,
     reduced_forms,
@@ -59,6 +62,60 @@ def test_two_counting_methods_agree():
     for D in range(-3, -501, -1):
         if D % 4 in (0, 1):
             assert class_number(D) == class_number_scan(D), D
+
+
+# Every entry point that walks or scans the forms of one discriminant.
+_CLASS_NUMBER_ENTRIES = [reduced_forms, class_number, class_number_scan, hurwitz_hw, hurwitz6]
+
+
+@pytest.mark.parametrize("entry", _CLASS_NUMBER_ENTRIES, ids=lambda f: f.__name__)
+def test_class_number_budget_rejects_large_disc_before_work(entry):
+    cap = qg._DISC_CAP
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=rf"at most {cap}: class numbers do O\(\|D\|\) work"):
+        entry(-(cap + 3))
+    with pytest.raises(ValueError, match="at most"):
+        entry(-10 ** 12)
+    assert time.perf_counter() - start < 1.0   # a walk or scan at 10^12 would take hours
+
+
+@pytest.mark.parametrize("entry", _CLASS_NUMBER_ENTRIES, ids=lambda f: f.__name__)
+def test_class_number_budget_admits_the_cap(monkeypatch, entry):
+    monkeypatch.setattr(qg, "_DISC_CAP", 1000)
+    entry(-1000)
+    with pytest.raises(ValueError, match="at most 1000"):
+        entry(-1003)
+
+
+@settings(deadline=None)
+@given(st.integers(3, 2 * 10 ** 5).filter(lambda N: N % 4 in (0, 3)))
+def test_walk_and_scan_agree_on_random_disc(N):
+    D = -N
+    assert class_number(D) == len(reduced_forms(D)) == class_number_scan(D)
+
+
+def test_parity_stepped_scan_matches_full_b_range():
+    for D in range(-3, -3001, -1):
+        if D % 4 in (0, 1):
+            assert class_number_scan(D) == _full_b_scan(D), D
+
+
+def test_hurwitz6_matches_class_number_sum():
+    h = {}
+    for D in range(-3, -5001, -1):
+        if D % 4 in (0, 1):
+            assert F(hurwitz6(D), 6) == _hurwitz_from_class_numbers(D, h), D
+
+
+@pytest.mark.parametrize("D, H", [
+    (-3, F(1, 3)), (-12, F(4, 3)), (-27, F(4, 3)), (-48, F(10, 3)), (-75, F(7, 3)),
+    (-108, F(16, 3)), (-4, F(1, 2)), (-16, F(3, 2)), (-36, F(5, 2)), (-64, F(7, 2)),
+    (-100, F(5, 2)), (-144, F(15, 2)),
+])
+def test_hurwitz6_at_the_weighted_forms(D, H):
+    # D = -3 m^2 and -4 m^2, m <= 6: m (x^2 + x y + y^2) weighs 1/3 and
+    # m (x^2 + y^2) weighs 1/2
+    assert hurwitz6(D) == 6 * H
 
 
 def test_hurwitz_examples():
@@ -191,3 +248,42 @@ def test_residual_within_proven_bound():
     for trace, det in ((1, 6), (0, 1), (1, 1), (0, 2), (2, 3)):
         rep = global_identity_check(trace, det, 2 * 10 ** 5)
         assert rep.ok, (trace, det, rep.residual, rep.bound)
+
+
+# --------------------------------------------------------------------------
+# References: the algorithms the package replaced, written out here so that
+# no rule is taken from the code under test.
+
+
+def _full_b_scan(D):
+    # the a-first scan over every b in (-a, a], before the parity step
+    count = 0
+    a = 1
+    while 3 * a * a <= abs(D):
+        for b in range(-a + 1, a + 1):
+            if (b * b - D) % (4 * a):
+                continue
+            c = (b * b - D) // (4 * a)
+            if c < a:
+                continue
+            if b < 0 and a == c:
+                continue
+            if math.gcd(math.gcd(a, abs(b)), c) == 1:
+                count += 1
+        a += 1
+    return count
+
+
+def _hurwitz_from_class_numbers(D, h):
+    # H(|D|) = sum of h(D/m^2)/u(D/m^2) over m with D/m^2 a discriminant;
+    # h from the independent scan, memoized in the caller's dict
+    total = F(0)
+    m = 1
+    while m * m <= -D:
+        if D % (m * m) == 0 and (D // (m * m)) % 4 in (0, 1):
+            d = D // (m * m)
+            if d not in h:
+                h[d] = class_number_scan(d)
+            total += F(h[d], 3 if d == -3 else 2 if d == -4 else 1)
+        m += 1
+    return total
