@@ -255,7 +255,7 @@ def criterion_4_gl2_factorization() -> CriterionResult:
                    failures)
 
 
-def criterion_5_cnf(terms: int = 10 ** 6) -> CriterionResult:
+def criterion_5_cnf() -> CriterionResult:
     """Analytic class number formula within the proven bound, |disc| <= 200."""
     t0 = time.perf_counter()
     failures = []
@@ -265,22 +265,22 @@ def criterion_5_cnf(terms: int = 10 ** 6) -> CriterionResult:
         if not is_fundamental_discriminant(disc):
             continue
         d = disc if disc % 2 else disc // 4
-        rep = quadglobal.cnf_report(d, terms)
+        rep = quadglobal.cnf_report(d)
         checked += 1
         worst = max(worst, rep.residual / rep.err_bound)
         if not rep.ok:
             failures.append(f"FAIL at disc={disc}: residual {rep.residual} > bound {rep.err_bound}")
     return _result("cnf", "analytic class number formula", t0,
-                   [f"{checked} fundamental discriminants at {terms} terms; "
+                   [f"{checked} fundamental discriminants at {quadglobal.L_TERMS} terms; "
                     f"worst residual/bound = {worst:.3g}"], failures)
 
 
-def criterion_6_global(terms: int = 10 ** 6) -> CriterionResult:
+def criterion_6_global() -> CriterionResult:
     """Global volume-orbital identity for three elliptic elements."""
     t0 = time.perf_counter()
     details, failures = [], []
     for trace, det in ((1, 6), (0, 1), (1, 1)):
-        rep = quadglobal.global_identity_check(trace, det, terms)
+        rep = quadglobal.global_identity_check(trace, det)
         details.append(f"X^2 - {trace} X + {det}: residual {rep.residual:.2e} "
                        f"(h={rep.field.h}, w={rep.field.w}, S={list(rep.primes_S)})")
         if rep.residual >= 1e-4:
@@ -400,15 +400,7 @@ CRITERIA = (
 )
 
 
-def run_all(skip: set | None = None, terms: int = 10 ** 6) -> list[CriterionResult]:
+def run_all(skip: set | None = None) -> list[CriterionResult]:
     skip = skip or set()
-    results = []
-    for key, fn in CRITERIA:
-        if key in skip:
-            results.append(CriterionResult(key, f"{key} (skipped)", True, 0.0, ["skipped"]))
-            continue
-        if key in ("cnf", "global-identity"):
-            results.append(fn(terms))
-        else:
-            results.append(fn())
-    return results
+    return [CriterionResult(key, f"{key} (skipped)", True, 0.0, ["skipped"]) if key in skip
+            else fn() for key, fn in CRITERIA]

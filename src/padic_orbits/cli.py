@@ -49,13 +49,6 @@ def _even_weight(text: str) -> int:
     return value
 
 
-def _positive_count(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is not a positive count")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="padic-orbits",
@@ -99,13 +92,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cnf", help="analytic class number formula residual")
     p.set_defaults(run=_cmd_cnf)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--terms", type=int, default=10 ** 6)
 
     p = sub.add_parser("global-check", help="global volume-orbital identity")
     p.set_defaults(run=_cmd_global_check)
     p.add_argument("--trace", type=int, required=True)
     p.add_argument("--det", type=int, required=True)
-    p.add_argument("--terms", type=int, default=10 ** 6)
 
     p = sub.add_parser("trace", help="trace of a Hecke operator, level one")
     p.set_defaults(run=_cmd_trace)
@@ -120,14 +111,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kirillov", help="orbit 2-form numeric checks")
     p.set_defaults(run=_cmd_kirillov)
     p.add_argument("--check", choices=["cone", "sphere", "conversion"], required=True)
-    p.add_argument("--samples", type=_positive_count, default=20)
 
     p = sub.add_parser("reproduce-all", help="run every acceptance criterion")
     p.set_defaults(run=_cmd_reproduce_all)
     p.add_argument("--skip", action="append", default=[],
                    choices=[key for key, _ in acceptance.CRITERIA])
-    p.add_argument("--terms", type=int, default=10 ** 6,
-                   help="term budget for the L-series criteria")
     return parser
 
 
@@ -186,11 +174,11 @@ def _cmd_classnum(args) -> int:
 
 
 def _cmd_cnf(args) -> int:
-    return _emit(quadglobal.cnf_report(args.d, args.terms).to_json())
+    return _emit(quadglobal.cnf_report(args.d).to_json())
 
 
 def _cmd_global_check(args) -> int:
-    return _emit(quadglobal.global_identity_check(args.trace, args.det, args.terms).to_json())
+    return _emit(quadglobal.global_identity_check(args.trace, args.det).to_json())
 
 
 def _cmd_trace(args) -> int:
@@ -213,29 +201,30 @@ def _cmd_kirillov(args) -> int:
     import random
 
     rng = random.Random(11)
+    samples = 20
     if args.check == "cone":
         worst = 0.0
-        for _ in range(args.samples):
+        for _ in range(samples):
             t = rng.uniform(0.5, 3.0)
             theta = rng.uniform(0.2, math.pi - 0.2)
             worst = max(worst, abs(kirillov.cone_pullback_check(t, theta, 1e-5) - 4.0))
-        return _emit({"check": "cone", "samples": args.samples,
+        return _emit({"check": "cone", "samples": samples,
                       "expected": 4.0, "worst_abs_error": worst})
     if args.check == "sphere":
         worst = 0.0
-        for _ in range(args.samples):
+        for _ in range(samples):
             phi = rng.uniform(0.1, math.pi - 0.1)
             theta = rng.uniform(0.0, 2 * math.pi)
             worst = max(worst,
                         abs(kirillov.sphere_density_spherical(phi, theta) - 2 * math.sin(phi)))
-        return _emit({"check": "sphere", "samples": args.samples,
+        return _emit({"check": "sphere", "samples": samples,
                       "expected": "2 sin(phi)", "worst_abs_error": worst})
     reports = [kirillov.sl2_conversion_report(t).to_json() for t in (0.5, 1.0, 2.0, 5.0)]
     return _emit({"check": "conversion", "reports": reports})
 
 
 def _cmd_reproduce_all(args) -> int:
-    results = acceptance.run_all(set(args.skip), terms=args.terms)
+    results = acceptance.run_all(set(args.skip))
     all_ok = all(r.ok for r in results)
     for r in results:
         status = "PASS" if r.ok else "FAIL"

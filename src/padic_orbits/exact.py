@@ -48,9 +48,21 @@ def _require_prime(p: int) -> None:
         raise ValueError(f"{p} is not prime")
 
 
+# Trial division to sqrt|n| takes up to 5 * 10^5 steps at the cap.
+_TRIAL_CAP = 10 ** 12
+
+
+def _check_trial(n: int) -> int:
+    """|n|, once it is within the trial-division budget."""
+    n = abs(n)
+    if n > _TRIAL_CAP:
+        raise ValueError(f"|n| must be at most {_TRIAL_CAP}: trial division does O(sqrt|n|) work")
+    return n
+
+
 def is_squarefree(n: int) -> bool:
     """True iff the integer n is squarefree (0 is not)."""
-    n = abs(n)
+    n = _check_trial(n)
     if n == 0:
         return False
     if n % 4 == 0:
@@ -67,7 +79,7 @@ def is_squarefree(n: int) -> bool:
 
 def _prime_powers(n: int):
     """Yield (p, e) for each prime power p^e exactly dividing |n|, by trial division."""
-    n = abs(n)
+    n = _check_trial(n)
     d = 2
     while d * d <= n:
         if n % d == 0:
@@ -85,11 +97,13 @@ def squarefree_part(x: Fraction) -> int:
     """The unique squarefree integer d with x = d * (rational square), x != 0."""
     if x == 0:
         raise ValueError("squarefree part of zero undefined")
-    n = x.numerator * x.denominator  # same square class as x
-    out = -1 if n < 0 else 1
-    for p, e in _prime_powers(n):
-        if e % 2:
-            out *= p
+    # x has the square class of numerator * denominator; the two are coprime,
+    # so each is factored on its own within the trial-division budget.
+    out = -1 if x < 0 else 1
+    for n in (x.numerator, x.denominator):
+        for p, e in _prime_powers(n):
+            if e % 2:
+                out *= p
     return out
 
 

@@ -4,9 +4,10 @@ Class numbers come from one integer walk over the reduced forms of a
 discriminant, primitive or not: it gives h(D) by counting the primitive
 forms and 6 H(|D|), the Hurwitz class number, by weighting all of them.
 An a-first scan of leading coefficients recounts h(D) independently.
-L(1, chi) comes from complete-period partial sums with a proven tail
-bound, and the global check ties the finite-adelic volume h/w to the
-archimedean side through the local orbital reports.
+L(1, chi) comes from complete-period partial sums truncated at the one
+constant L_TERMS = 10^6, with a proven tail bound, and the global check
+ties the finite-adelic volume h/w to the archimedean side through the
+local orbital reports.
 """
 
 from __future__ import annotations
@@ -31,6 +32,9 @@ from .localquad import kronecker_symbol
 
 
 _DISC_CAP = 10 ** 8
+# Every class number formula check sums chi(n)/n to L_TERMS terms.
+L_TERMS = 10 ** 6
+_L_DISC_CAP = 10 ** 6
 
 
 def _check_disc(D: int) -> None:
@@ -40,34 +44,6 @@ def _check_disc(D: int) -> None:
         raise ValueError(
             f"|D| must be at most {_DISC_CAP}: class numbers do O(|D|) work"
         )
-
-
-@dataclass(frozen=True)
-class ReducedForm:
-    """A primitive reduced binary quadratic form a x^2 + b x y + c y^2.
-
-    Reduced means |b| <= a <= c with b >= 0 when |b| = a or a = c; each
-    proper equivalence class of forms of negative discriminant contains
-    exactly one reduced representative.
-    """
-
-    a: int
-    b: int
-    c: int
-
-    def __post_init__(self):
-        if self.a <= 0 or self.discriminant >= 0:
-            raise ValueError("positive definite forms only")
-        if not (abs(self.b) <= self.a <= self.c):
-            raise ValueError("form is not reduced")
-        if self.b < 0 and (abs(self.b) == self.a or self.a == self.c):
-            raise ValueError("form is not reduced (boundary sign)")
-        if gcd(gcd(self.a, abs(self.b)), self.c) != 1:
-            raise ValueError("form is not primitive")
-
-    @property
-    def discriminant(self) -> int:
-        return self.b * self.b - 4 * self.a * self.c
 
 
 def _reduced_triples(D: int):
@@ -85,21 +61,6 @@ def _reduced_triples(D: int):
         for a in filterfalse(m.__mod__, range(max(b, 1), isqrt(m) + 1)):
             yield a, b, m // a
         b += 2
-
-
-def reduced_forms(D: int) -> list[ReducedForm]:
-    """All primitive reduced forms of discriminant D < 0, sorted by (a, -b, c).
-
-    Each primitive triple of the walk gives (a, b, c) and, off the boundary
-    (0 < b < a < c), also (a, -b, c).
-    """
-    out = []
-    for a, b, c in _reduced_triples(D):
-        if gcd(a, b, c) == 1:
-            out.append(ReducedForm(a, b, c))
-            if not (b == 0 or b == a or a == c):
-                out.append(ReducedForm(a, -b, c))
-    return sorted(out, key=lambda f: (f.a, -f.b, f.c))
 
 
 def class_number(D: int) -> int:
@@ -210,8 +171,12 @@ def dirichlet_L1(disc: int, terms: int) -> tuple[float, float]:
     The sum is taken one residue class r mod |Delta| at a time: with
     B = M/|Delta| and x_r = r/|Delta|, the class contributes
     chi(r) (psi(B + x_r) - psi(x_r)) / |Delta|, so the work is 2|Delta|
-    digamma values whatever the budget (Cohen, GTM 138, section 5.3).
+    digamma values whatever the budget (Cohen, GTM 138, section 5.3), and
+    |disc| is capped at 10^6.  The package's callers pass terms = L_TERMS.
     """
+    if abs(disc) > _L_DISC_CAP:
+        raise ValueError(f"|disc| must be at most {_L_DISC_CAP}: L(1, chi) evaluates "
+                         "2|disc| digamma values")
     if not is_fundamental_discriminant(disc):
         raise ValueError(f"{disc} is not a fundamental discriminant")
     period = abs(disc)
@@ -234,7 +199,6 @@ def cnf_target(K: QuadFieldData) -> float:
 @dataclass(frozen=True)
 class CnfReport:
     field: QuadFieldData
-    terms: int
     L_value: float
     err_bound: float
     target: float
@@ -247,7 +211,7 @@ class CnfReport:
     def to_json(self) -> dict:
         return {
             "field": self.field.to_json(),
-            "terms": self.terms,
+            "terms": L_TERMS,
             "L_value": self.L_value,
             "err_bound": self.err_bound,
             "target_2pi_h_over_w_sqrt_disc": self.target,
@@ -256,11 +220,11 @@ class CnfReport:
         }
 
 
-def cnf_report(d: int, terms: int) -> CnfReport:
+def cnf_report(d: int) -> CnfReport:
     K = quad_field_data(d)
-    value, bound = dirichlet_L1(K.disc, terms)
+    value, bound = dirichlet_L1(K.disc, L_TERMS)
     target = cnf_target(K)
-    return CnfReport(K, terms, value, bound, target, abs(value - target))
+    return CnfReport(K, value, bound, target, abs(value - target))
 
 
 # --------------------------------------------------------------------------
@@ -308,7 +272,7 @@ class GlobalIdentityReport:
         }
 
 
-def global_identity_check(trace: int, det: int, terms: int = 10 ** 6) -> GlobalIdentityReport:
+def global_identity_check(trace: int, det: int) -> GlobalIdentityReport:
     """Volume-times-orbital identity for a rational elliptic GL2 element.
 
     LHS: (h/w) * prod_{p in S} O_can_p with S the primes dividing disc * det.
@@ -347,7 +311,7 @@ def global_identity_check(trace: int, det: int, terms: int = 10 ** 6) -> GlobalI
             found += 1
         p += 1
 
-    L_value, L_bound = dirichlet_L1(K.disc, terms)
+    L_value, L_bound = dirichlet_L1(K.disc, L_TERMS)
     lhs = float(finite_adelic_volume(K) * prod_o_can)
     rhs = math.sqrt(abs(K.disc)) * L_value * float(prod_o_can) / (2 * math.pi)
     residual = abs(lhs - rhs) / abs(rhs)

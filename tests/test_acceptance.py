@@ -47,11 +47,11 @@ def test_criterion_4_gl2_factorization():
 
 
 def test_criterion_5_analytic_class_number_formula():
-    _report(acceptance.criterion_5_cnf(10 ** 6), 60)
+    _report(acceptance.criterion_5_cnf(), 60)
 
 
 def test_criterion_6_global_identity():
-    _report(acceptance.criterion_6_global(10 ** 6), 60)
+    _report(acceptance.criterion_6_global(), 60)
 
 
 def test_criterion_7_trace_formula_vs_oracle():

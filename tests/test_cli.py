@@ -117,6 +117,20 @@ def test_trace_over_budget_is_a_json_error_at_once(capsys):
     assert "at most 100000" in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize("argv", [
+    "torus-volume --d 1000000000000000003 --p 3",
+    "point-count --d 1000000000000000003 --p 3 --k 1 --constraint unit",
+    f"orbital --trace 1 --det {10 ** 29} --p 3",
+    f"global-check --trace 1 --det {10 ** 30}",
+], ids=["torus-volume", "point-count", "orbital", "global-check"])
+def test_huge_input_is_a_json_error_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, out = run_cli(capsys, *argv.split())
+    assert time.perf_counter() - start < 5.0   # each ran past 10 s without the cap
+    assert code == 1
+    assert "at most 1000000000000: trial division" in json.loads(out)["error"]
+
+
 def test_trace_odd_weight_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["trace", "--k", "13", "--n", "1"])
@@ -136,14 +150,14 @@ def test_tau(capsys):
 
 
 def test_cnf(capsys):
-    code, out = run_cli(capsys, "cnf", "--d", "-1", "--terms", "100000")
+    code, out = run_cli(capsys, "cnf", "--d", "-1")
     assert code == 0
     payload = json.loads(out)
     assert payload["ok"] is True
 
 
 def test_kirillov_checks(capsys):
-    code, out = run_cli(capsys, "kirillov", "--check", "cone", "--samples", "5")
+    code, out = run_cli(capsys, "kirillov", "--check", "cone")
     assert code == 0
     assert json.loads(out)["worst_abs_error"] < 1e-6
     code, out = run_cli(capsys, "kirillov", "--check", "conversion")
@@ -152,12 +166,16 @@ def test_kirillov_checks(capsys):
     assert all(abs(r["coefficient_times_disc"] - 1.0) < 1e-12 for r in reports)
 
 
-@pytest.mark.parametrize("check", ["cone", "sphere"])
-@pytest.mark.parametrize("samples", ["0", "-3"])
-def test_kirillov_needs_a_sample(check, samples):
-    # A check over no samples would report worst_abs_error 0.0 and pass.
+@pytest.mark.parametrize("argv", [
+    "cnf --d -23 --terms 5",
+    "global-check --trace 1 --det 6 --terms 5",
+    "reproduce-all --terms 5",
+    "kirillov --check cone --samples 5",
+], ids=["cnf-terms", "global-check-terms", "reproduce-all-terms", "kirillov-samples"])
+def test_removed_option_is_usage_error(argv):
+    # L(1, chi) is always summed to L_TERMS terms and kirillov always draws 20 samples.
     with pytest.raises(SystemExit) as exc:
-        main(["kirillov", "--check", check, "--samples", samples])
+        main(argv.split())
     assert exc.value.code == 2
 
 
@@ -189,8 +207,7 @@ def test_reproduce_all_stdout_is_deterministic(capsys):
 
 
 def test_global_check(capsys):
-    code, out = run_cli(capsys, "global-check", "--trace", "0", "--det", "1",
-                        "--terms", "100000")
+    code, out = run_cli(capsys, "global-check", "--trace", "0", "--det", "1")
     assert code == 0
     payload = json.loads(out)
     assert payload["ok"] is True

@@ -1,11 +1,14 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from padic_orbits.exact import (
+    _TRIAL_CAP,
     QHalfPower,
+    _prime_powers,
     abs_p,
     fundamental_discriminant,
     is_fundamental_discriminant,
@@ -188,3 +191,30 @@ def test_squarefree_helpers():
     assert fundamental_discriminant(2) == 8
     assert is_fundamental_discriminant(-4)
     assert not is_fundamental_discriminant(-9)
+
+
+# The two trial-division loops, and squarefree_part, which factors through one.
+_TRIAL_ENTRIES = [
+    pytest.param(is_squarefree, id="is_squarefree"),
+    pytest.param(lambda n: list(_prime_powers(n)), id="_prime_powers"),
+    pytest.param(lambda n: squarefree_part(Fraction(n)), id="squarefree_part"),
+]
+
+
+@pytest.mark.parametrize("entry", _TRIAL_ENTRIES)
+def test_trial_division_budget_rejects_large_n_before_work(entry):
+    start = time.perf_counter()
+    for n in (_TRIAL_CAP + 1, -(10 ** 18 + 3), 10 ** 29):
+        with pytest.raises(ValueError, match=rf"at most {_TRIAL_CAP}: trial division does "
+                                             r"O\(sqrt\|n\|\) work"):
+            entry(n)
+    assert time.perf_counter() - start < 1.0   # dividing to 10^9 would take minutes
+
+
+def test_trial_division_budget_admits_the_cap():
+    p = 999_999_999_989   # the largest prime below 10^12
+    assert is_squarefree(-p) and list(_prime_powers(p)) == [(p, 1)]
+    assert not is_squarefree(_TRIAL_CAP)
+    assert list(_prime_powers(-_TRIAL_CAP)) == [(2, 12), (5, 12)]
+    # numerator times denominator exceeds the cap, but each part is within it
+    assert squarefree_part(Fraction(-p, 2 ** 39)) == -2 * p

@@ -12,7 +12,6 @@ import padic_orbits.quadglobal as qg
 from padic_orbits.exact import is_fundamental_discriminant
 from padic_orbits.localquad import kronecker_symbol
 from padic_orbits.quadglobal import (
-    ReducedForm,
     class_number,
     class_number_scan,
     cnf_report,
@@ -22,7 +21,6 @@ from padic_orbits.quadglobal import (
     hurwitz6,
     hurwitz_hw,
     quad_field_data,
-    reduced_forms,
 )
 
 F = Fraction
@@ -38,18 +36,16 @@ def test_class_number_examples():
 
 
 def test_reduced_forms_minus_23():
-    forms = reduced_forms(-23)
-    assert [(f.a, f.b, f.c) for f in forms] == [(1, 1, 6), (2, 1, 3), (2, -1, 3)]
-    assert all(f.discriminant == -23 for f in forms)
+    # (2, 1, 3) stands for (2, +-1, 3) as well: three classes
+    triples = [t for t in qg._reduced_triples(-23) if math.gcd(*t) == 1]
+    assert triples == [(1, 1, 6), (2, 1, 3)]
 
 
-def test_reduced_form_validation():
-    with pytest.raises(ValueError):
-        ReducedForm(2, 0, 2)       # imprimitive
-    with pytest.raises(ValueError):
-        ReducedForm(3, 1, 1)       # a > c
-    with pytest.raises(ValueError):
-        ReducedForm(2, -2, 3)      # boundary sign
+def test_walk_yields_reduced_triples():
+    for D in range(-3, -3001, -1):
+        if D % 4 in (0, 1):
+            for a, b, c in qg._reduced_triples(D):
+                assert 0 <= b <= a <= c and b * b - 4 * a * c == D, (D, a, b, c)
 
 
 def test_class_number_rejects_bad_disc():
@@ -64,8 +60,12 @@ def test_two_counting_methods_agree():
             assert class_number(D) == class_number_scan(D), D
 
 
+def _reduced_triples(D):
+    return list(qg._reduced_triples(D))
+
+
 # Every entry point that walks or scans the forms of one discriminant.
-_CLASS_NUMBER_ENTRIES = [reduced_forms, class_number, class_number_scan, hurwitz_hw, hurwitz6]
+_CLASS_NUMBER_ENTRIES = [_reduced_triples, class_number, class_number_scan, hurwitz_hw, hurwitz6]
 
 
 @pytest.mark.parametrize("entry", _CLASS_NUMBER_ENTRIES, ids=lambda f: f.__name__)
@@ -91,7 +91,7 @@ def test_class_number_budget_admits_the_cap(monkeypatch, entry):
 @given(st.integers(3, 2 * 10 ** 5).filter(lambda N: N % 4 in (0, 3)))
 def test_walk_and_scan_agree_on_random_disc(N):
     D = -N
-    assert class_number(D) == len(reduced_forms(D)) == class_number_scan(D)
+    assert class_number(D) == class_number_scan(D)
 
 
 def test_parity_stepped_scan_matches_full_b_range():
@@ -173,16 +173,33 @@ def test_dirichlet_L1_matches_direct_sum(disc, terms):
 def test_package_imports_without_numpy():
     code = ("import sys; sys.modules['numpy'] = None; "
             "import padic_orbits.cli; from padic_orbits.quadglobal import cnf_report; "
-            "sys.exit(not cnf_report(-23, 10 ** 6).ok)")
+            "sys.exit(not cnf_report(-23).ok)")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 def test_huge_term_budget_is_cheap():
     t0 = time.perf_counter()
-    rep = cnf_report(-23, 10 ** 12)
-    assert rep.ok
+    value, bound = dirichlet_L1(-23, 10 ** 12)
+    assert abs(value - 3 * math.pi / math.sqrt(23)) <= bound + 1e-12
     assert time.perf_counter() - t0 < 0.5
+
+
+def test_dirichlet_L1_budget_rejects_large_disc_before_work():
+    cap = qg._L_DISC_CAP
+    start = time.perf_counter()
+    for disc in (-(cap + 3), -4 * (cap + 1), -(10 ** 18 + 3)):
+        with pytest.raises(ValueError, match=rf"at most {cap}: L\(1, chi\) evaluates "
+                                             r"2\|disc\| digamma values"):
+            dirichlet_L1(disc, 10 ** 20)
+    assert time.perf_counter() - start < 1.0   # 2 * 10^6 digamma values take seconds
+
+
+def test_dirichlet_L1_budget_admits_the_cap(monkeypatch):
+    monkeypatch.setattr(qg, "_L_DISC_CAP", 23)
+    dirichlet_L1(-23, 10 ** 4)
+    with pytest.raises(ValueError, match="at most 23"):
+        dirichlet_L1(-24, 10 ** 4)
 
 
 def test_dirichlet_L1_preconditions():
@@ -193,9 +210,9 @@ def test_dirichlet_L1_preconditions():
 
 
 def test_cnf_residual_examples():
-    assert cnf_report(-1, 10 ** 6).residual < 1e-5
-    assert cnf_report(-23, 10 ** 6).residual < 1e-4
-    rep = cnf_report(-163, 10 ** 6)
+    assert cnf_report(-1).residual < 1e-5
+    assert cnf_report(-23).residual < 1e-4
+    rep = cnf_report(-163)
     assert rep.field.h == 1 and rep.ok
 
 
@@ -204,22 +221,22 @@ def test_cnf_sweep_small():
         if not is_fundamental_discriminant(disc):
             continue
         d = disc if disc % 2 else disc // 4
-        rep = cnf_report(d, 10 ** 5)
+        rep = cnf_report(d)
         assert rep.ok, disc
 
 
 def test_global_identity_examples():
-    rep = global_identity_check(1, 6, 10 ** 6)
+    rep = global_identity_check(1, 6)
     assert rep.field.disc == -23 and rep.residual < 1e-4
     assert set(rep.primes_S) == {2, 3, 23}
-    rep = global_identity_check(0, 1, 10 ** 6)
+    rep = global_identity_check(0, 1)
     assert rep.residual < 1e-5
-    rep = global_identity_check(1, 1, 10 ** 6)
+    rep = global_identity_check(1, 1)
     assert rep.residual < 1e-5
 
 
 def test_global_identity_off_s_triviality():
-    rep = global_identity_check(1, 6, 10 ** 5)
+    rep = global_identity_check(1, 6)
     assert len(rep.off_S_samples) == 5
     assert all(v == "1" for v in rep.off_S_samples.values())
 
@@ -236,7 +253,7 @@ def test_global_identity_off_s_failure_is_arithmetic_error(monkeypatch):
 
     monkeypatch.setattr(qg, "full_report", corrupted)
     with pytest.raises(ArithmeticError, match="off-S canonical integral != 1 at p = 5"):
-        global_identity_check(1, 6, 10 ** 5)
+        global_identity_check(1, 6)
 
 
 def test_global_identity_rejects_hyperbolic():
@@ -246,7 +263,7 @@ def test_global_identity_rejects_hyperbolic():
 
 def test_residual_within_proven_bound():
     for trace, det in ((1, 6), (0, 1), (1, 1), (0, 2), (2, 3)):
-        rep = global_identity_check(trace, det, 2 * 10 ** 5)
+        rep = global_identity_check(trace, det)
         assert rep.ok, (trace, det, rep.residual, rep.bound)
 
 
