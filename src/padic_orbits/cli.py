@@ -1,8 +1,10 @@
 """Command-line interface: one subcommand per module, JSON on stdout.
 
 Exit codes: 0 success, 1 domain error (with an {"error": ...} payload),
-2 usage error.  All big integers are serialized as decimal strings and keys
-are emitted sorted, so identical invocations produce identical bytes.
+2 usage error, 3 failed internal invariant (an ArithmeticError other than
+ZeroDivisionError, with the same payload).  All big integers are serialized
+as decimal strings and keys are emitted sorted, so identical invocations
+produce identical bytes.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ def _emit(payload: dict) -> int:
     return 0
 
 
-def _fail(message: str) -> int:
+def _fail(message: str, code: int = 1) -> int:
     print(json.dumps({"error": message}, sort_keys=True))
-    return 1
+    return code
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -248,8 +250,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except (ValueError, ArithmeticError, KeyError) as exc:
+    except (ValueError, ZeroDivisionError, KeyError) as exc:
         return _fail(str(exc))
+    except ArithmeticError as exc:
+        return _fail(str(exc), 3)
 
 
 if __name__ == "__main__":

@@ -185,6 +185,30 @@ def test_domain_error_payload(capsys):
     assert "error" in json.loads(out)
 
 
+def test_failed_invariant_exits_3(capsys, monkeypatch):
+    import padic_orbits.eichlerselberg as es
+
+    real = es.hurwitz6
+    # 6H + 1 at every t adds 78 to the elliptic sum of U_10(t, 2) 6H, not a multiple of 12
+    monkeypatch.setattr(es, "hurwitz6", lambda D: real(D) + 1)
+    code, out = run_cli(capsys, "trace", "--k", "12", "--n", "2")
+    assert code == 3
+    assert json.loads(out) == {
+        "error": "trace formula integrality violated at k=12, n=2: -61/2"}
+
+
+def test_zero_division_stays_a_domain_error(capsys, monkeypatch):
+    import padic_orbits.quadglobal as qg
+
+    def divide(D):
+        return 1 // (D + 23)
+
+    monkeypatch.setattr(qg, "class_number", divide)
+    code, out = run_cli(capsys, "classnum", "--disc", "-23")
+    assert code == 1
+    assert json.loads(out) == {"error": "integer division or modulo by zero"}
+
+
 def test_output_is_byte_identical(capsys):
     _, first = run_cli(capsys, "orbital", "--trace", "1", "--det", "6", "--p", "5")
     _, second = run_cli(capsys, "orbital", "--trace", "1", "--det", "6", "--p", "5")

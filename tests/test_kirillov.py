@@ -98,8 +98,8 @@ def test_conversion_report_violation_is_arithmetic_error(monkeypatch, capsys):
     monkeypatch.setattr(kirillov, "sl2_conversion_coefficient", lambda t: 2 * original(t))
     with pytest.raises(ArithmeticError, match="conversion coefficient off"):
         sl2_conversion_report(1.0)
-    # the CLI reports it as a domain error, not a traceback
-    assert main(["kirillov", "--check", "conversion"]) == 1
+    # the CLI reports it as a failed invariant (exit 3), not a traceback
+    assert main(["kirillov", "--check", "conversion"]) == 3
     assert "conversion coefficient off" in json.loads(capsys.readouterr().out)["error"]
 
 

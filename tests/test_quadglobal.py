@@ -64,12 +64,18 @@ def _reduced_triples(D):
     return list(qg._reduced_triples(D))
 
 
+def _refuse(*args):
+    raise RuntimeError("called where it must not be")
+
+
 # Every entry point that walks or scans the forms of one discriminant.
 _CLASS_NUMBER_ENTRIES = [_reduced_triples, class_number, class_number_scan, hurwitz_hw, hurwitz6]
 
 
 @pytest.mark.parametrize("entry", _CLASS_NUMBER_ENTRIES, ids=lambda f: f.__name__)
-def test_class_number_budget_rejects_large_disc_before_work(entry):
+def test_class_number_budget_rejects_large_disc_before_work(monkeypatch, entry):
+    # every walk and scan sizes its loops and tables with isqrt
+    monkeypatch.setattr(qg, "isqrt", _refuse)
     cap = qg._DISC_CAP
     start = time.perf_counter()
     with pytest.raises(ValueError, match=rf"at most {cap}: class numbers do O\(\|D\|\) work"):
@@ -92,6 +98,34 @@ def test_class_number_budget_admits_the_cap(monkeypatch, entry):
 def test_walk_and_scan_agree_on_random_disc(N):
     D = -N
     assert class_number(D) == class_number_scan(D)
+
+
+# Both bins of the benchmark's class-number items, [-4*10^6, -10^6) and
+# [-10^7, -4*10^6), each with one D = 0 and one D = 1 (mod 4).
+@pytest.mark.parametrize("D", [-1000003, -3999996, -4000004, -9999991])
+def test_scan_matches_walk_on_large_disc(D):
+    assert class_number_scan(D) == class_number(D)
+
+
+# Orders f^2 D0 in Q(sqrt -1) and Q(sqrt -3), rich in forms on the boundary
+# (b = 0, b = a or a = c), at h = f prod_{p | f} (1 - (D0/p)/p) / [O_K* : O*].
+@pytest.mark.parametrize("D, h", [
+    (-4 * 1009 ** 2, 504), (-3 * 577 ** 2, 192), (-3 * 1000 ** 2, 600),
+    (-3 * 999 ** 2, 324), (-4 * 1000 ** 2, 400), (-4 * 999 ** 2, 648),
+])
+def test_scan_and_walk_on_large_orders(D, h):
+    assert class_number_scan(D) == class_number(D) == h
+
+
+def test_scan_does_not_walk(monkeypatch):
+    monkeypatch.setattr(qg, "_reduced_triples", _refuse)
+    assert [class_number_scan(D) for D in (-3, -4, -23, -3 * 577 ** 2)] == [1, 1, 3, 192]
+
+
+def test_walk_does_not_scan(monkeypatch):
+    monkeypatch.setattr(qg, "class_number_scan", _refuse)
+    assert [class_number(D) for D in (-3, -4, -23, -3 * 577 ** 2)] == [1, 1, 3, 192]
+    assert [hurwitz6(D) for D in (-3, -4, -12, -23)] == [2, 3, 8, 18]
 
 
 def test_parity_stepped_scan_matches_full_b_range():
