@@ -2,9 +2,12 @@
 
 The trace of the n-th Hecke operator on weight-k level-one cusp forms is
 assembled from an identity term, a class-number-weighted elliptic sum, and a
-divisor (hyperbolic) sum.  The oracle side expands the weight-12 cusp form as
-an eta product and the one-dimensional spaces as its products with the
-weight-4 and weight-6 Eisenstein series, all in exact integer arithmetic.
+divisor (hyperbolic) sum.  The elliptic sum reads all its Hurwitz class
+numbers from one row, ``quadglobal.hurwitz6_row(n)``, in O(n) work.  The
+oracle side expands the weight-12 cusp form as an eta product, eta^24 as
+three squarings of eta^3, and the one-dimensional spaces as its products
+with the weight-4 and weight-6 Eisenstein series, all in exact integer
+arithmetic.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .exact import frac_to_json
-from .quadglobal import hurwitz6
+from .quadglobal import hurwitz6_row
 
 _ONE_DIM_WEIGHTS = {12: (0, 0), 16: (1, 0), 18: (0, 1), 20: (2, 0), 22: (1, 1), 26: (2, 1)}
 _SERIES_CAP = 10 ** 4
@@ -66,7 +69,8 @@ def trace_formula(k: int, n: int) -> TraceTerms:
     their signs.  The elliptic sum runs over all integers t with t^2 < 4n,
     weighting U_{k-2}(t, n) by the Hurwitz class number H(4n - t^2), the
     weighted class numbers of the orders containing the root of
-    X^2 - t X + n.  For even k both factors are even in t, so t = 0 is
+    X^2 - t X + n.  All of 6H(4n - t^2), t >= 0, come from one O(n) sweep,
+    ``hurwitz6_row(n)``.  For even k both factors are even in t, so t = 0 is
     summed once and each t > 0 twice.  The sum is accumulated in integers
     as U_{k-2}(t, n) 6H(4n - t^2) and divided by 6 once.  The hyperbolic sum
     of min(d, n/d)^(k-1) over the divisors d of n pairs d with n/d, so it
@@ -79,15 +83,15 @@ def trace_formula(k: int, n: int) -> TraceTerms:
         raise ValueError("n must be a positive integer")
     if n > _TRACE_CAP:
         raise ValueError(
-            f"n must be at most {_TRACE_CAP}: the elliptic sum does O(n^(3/2)) class-number work"
+            f"n must be at most {_TRACE_CAP}: the elliptic sum does O(n) class-number work"
         )
     root = isqrt(n)
     square = root * root == n
     identity = Fraction(k - 1, 12) if square else Fraction(0)
     scale = Fraction(n) ** (1 - k // 2)
     elliptic_sum_6 = 0
-    for t in range(isqrt(4 * n - 1) + 1):
-        term = gegenbauer_like(t, n, k - 2) * hurwitz6(t * t - 4 * n)
+    for t, h6 in enumerate(hurwitz6_row(n)):
+        term = gegenbauer_like(t, n, k - 2) * h6
         elliptic_sum_6 += term if t == 0 else 2 * term
     elliptic = -scale * Fraction(elliptic_sum_6, 12)
     divisor_sum = sum(2 * d ** (k - 1) for d in range(1, root + 1) if n % d == 0)
@@ -121,6 +125,7 @@ class PowerSeriesZ:
     product is a sum of at most order + 1 terms, so its absolute value is at
     most (order + 1) * max|a_i| * max|b_j|; w is the least byte count that
     holds that bound plus a sign bit, so no slot carries into the next.
+    f * f packs f once and squares the integer.
     """
 
     __slots__ = ("coeffs", "order")
@@ -137,18 +142,26 @@ class PowerSeriesZ:
         if self.order != other.order:
             raise ValueError("mismatched truncation orders")
         n = self.order
-        bound = (n + 1) * max(map(abs, self.coeffs)) * max(map(abs, other.coeffs))
+        top = max(map(abs, self.coeffs))
+        bound = (n + 1) * top * (top if other is self else max(map(abs, other.coeffs)))
         if not bound:
             return PowerSeriesZ([], n)
         w = bound.bit_length() // 8 + 1   # bound < 2^(8w - 1)
         slots = w * (n + 1)
-        half = 1 << (8 * w - 1)
-        # offset every kept slot by half, so each holds c + half in [0, 2^(8w))
-        offset = int.from_bytes(half.to_bytes(w, "little") * (n + 1), "little")
-        low = (_pack(self.coeffs, w) * _pack(other.coeffs, w) + offset) & ((1 << (8 * slots)) - 1)
-        raw = low.to_bytes(slots, "little")
+        packed = _pack(self.coeffs, w)
+        product = packed * (packed if other is self else _pack(other.coeffs, w))
+        del packed
+        # The low slots hold the product mod 2^(8 slots).  Slot i read as
+        # signed is c_i minus the borrow out of slot i - 1, which is 1 exactly
+        # when slot i - 1 reads negative, that is when its top byte raw[i - 1]
+        # is at least 128; since |c_i| < 2^(8w - 1), every read stays in
+        # [-2^(8w - 1), 2^(8w - 1)).  The extra zero byte at the end is
+        # raw[-1], so slot 0 has no borrow.
+        raw = (product & ((1 << (8 * slots)) - 1)).to_bytes(slots + 1, "little")
+        del product
         return PowerSeriesZ(
-            [int.from_bytes(raw[i : i + w], "little") - half for i in range(0, slots, w)], n
+            [int.from_bytes(raw[i : i + w], "little", signed=True) + (raw[i - 1] > 127)
+             for i in range(0, slots, w)], n
         )
 
     def __getitem__(self, i: int) -> int:
@@ -184,14 +197,13 @@ def eta_tau(N: int) -> list[int]:
     """tau(1..N) from q * prod (1 - q^m)^24, exact integers; index 0 unused.
 
     The 24th power is built as the 8th power of the cubed product, whose
-    expansion is the sparse Jacobi series, in seven series products.
+    expansion is the sparse Jacobi series, in three series squarings.
     """
     if not 1 <= N <= _SERIES_CAP:
         raise ValueError(f"N must be between 1 and {_SERIES_CAP}")
-    eta3 = _eta_cubed(N - 1)
-    res = eta3
-    for _ in range(7):
-        res = eta3 * res
+    res = _eta_cubed(N - 1)
+    for _ in range(3):
+        res = res * res
     return [0] + res.coeffs  # tau(n) is the q^(n-1) coefficient of the product
 
 

@@ -116,8 +116,11 @@ def full_report(trace: Fraction, det: Fraction, p: int) -> OrbitalReport:
 
     The depth is recomputed from the characteristic polynomial data, never
     taken on trust; the factorization O_geometric = conversion * O_canonical
-    is re-verified exactly on the way out.
+    is re-verified exactly on the way out.  A singular element (det = 0)
+    is not in GL2 and is rejected.
     """
+    if det == 0:
+        raise ValueError("det must be nonzero: an element of GL2 is invertible")
     _, c = delta_abs_gl2(Fraction(trace), Fraction(det), p)
     return report_for_class(c)
 

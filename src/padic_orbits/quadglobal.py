@@ -1,8 +1,11 @@
 """Imaginary quadratic global invariants and the assembled global identity.
 
 Class numbers come from one integer walk over the reduced forms of a
-discriminant, primitive or not: it gives h(D) by counting the primitive
-forms and 6 H(|D|), the Hurwitz class number, by weighting all of them.
+discriminant, primitive or not, which gives h(D) by counting the primitive
+forms.  The trace formula's Hurwitz class numbers 6 H(4n - t^2), for every
+t with t^2 < 4n at once, come from one O(n) sweep over leading
+coefficients that looks each 4n - t^2 up in a table of b^2 mod 4a and
+weights every reduced form it finds; it shares no code with the walk.
 An a-first scan of leading coefficients recounts h(D) independently and
 shares only the input check with the walk: once the |D| cap has passed,
 it builds one table of the norms (b^2 - D)/4 for 0 <= b <= sqrt(|D|/3),
@@ -19,8 +22,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import filterfalse, islice
+from itertools import compress, filterfalse, islice, repeat
 from math import gcd, isqrt
+from operator import mod
 
 from .exact import (
     _prime_powers,
@@ -36,6 +40,7 @@ from .localquad import kronecker_symbol
 
 
 _DISC_CAP = 10 ** 8
+_ROW_CAP = 10 ** 6
 # Every class number formula check sums chi(n)/n to L_TERMS terms.
 L_TERMS = 10 ** 6
 _L_DISC_CAP = 10 ** 6
@@ -81,23 +86,49 @@ def class_number(D: int) -> int:
     )
 
 
-def hurwitz6(D: int) -> int:
-    """6 H(|D|) as an integer, for a discriminant D < 0.
+def hurwitz6_row(n: int) -> list[int]:
+    """[6 H(4n - t^2) for 0 <= t <= isqrt(4n - 1)], every D_t = t^2 - 4n at once.
 
     H(N) counts the classes of all positive definite forms of discriminant
     -N, primitive or not, those of a (x^2 + y^2) weighted 1/2 and those of
     a (x^2 + x y + y^2) weighted 1/3 (Cohen, GTM 138, section 5.3); it equals
-    the sum of h(D/f^2)/u(D/f^2) over the f with D/f^2 a discriminant.  On
-    the walk, times 6: (a, 0, a) weighs 3, (a, a, a) weighs 2, the other
-    boundary triples 6 and the rest 12, which stand for (a, +-b, c).
+    the sum of h(D/f^2)/u(D/f^2) over the f with D/f^2 a discriminant.
+
+    One sweep over the leading coefficient a, with 3 a^2 <= 4n: a form
+    (a, b, c) of discriminant D exists exactly when b^2 = D (mod 4a), so
+    the b in [0, a] are grouped by b^2 mod 4a in one dict, and every D_t
+    with |D_t| >= 3 a^2 is looked up in it inside map.  A hit b gives
+    c = (b^2 - D_t) / 4a, kept when c >= a.  Times 6, (a, 0, a) weighs 3,
+    (a, a, a) weighs 2, the other boundary triples (b = 0, b = a or a = c)
+    6 and the rest 12, which stand for (a, +-b, c).  The work is O(n), and
+    n is capped at 10^6 before anything is allocated.  The row shares no
+    code with the walk or the scan.
     """
-    total = 0
-    for a, b, c in _reduced_triples(D):
-        if b == 0 or b == a or a == c:
-            total += 3 if b == 0 and a == c else 2 if b == a == c else 6
-        else:
-            total += 12
-    return total
+    if not 1 <= n <= _ROW_CAP:
+        raise ValueError(
+            f"n must be between 1 and {_ROW_CAP}: the class-number row does O(n) work"
+        )
+    N = 4 * n
+    discs = [t * t - N for t in range(isqrt(N - 1) + 1)]
+    row = [0] * len(discs)
+    a = 1
+    while 3 * a * a <= N:
+        m = 4 * a
+        roots = {}
+        for b in range(a + 1):
+            roots.setdefault(b * b % m, []).append(b)
+        span = isqrt(N - 3 * a * a) + 1   # the t with |D_t| >= 3 a^2
+        hits = list(map(roots.get, map(mod, discs[:span], repeat(m))))
+        for t, bs in compress(enumerate(hits), hits):
+            D = discs[t]
+            for b in bs:
+                c = (b * b - D) // m
+                if c > a:
+                    row[t] += 6 if b == 0 or b == a else 12
+                elif c == a:
+                    row[t] += 3 if b == 0 else 2 if b == a else 6
+        a += 1
+    return row
 
 
 def class_number_scan(D: int) -> int:

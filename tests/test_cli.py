@@ -188,13 +188,21 @@ def test_domain_error_payload(capsys):
 def test_failed_invariant_exits_3(capsys, monkeypatch):
     import padic_orbits.eichlerselberg as es
 
-    real = es.hurwitz6
+    real = es.hurwitz6_row
     # 6H + 1 at every t adds 78 to the elliptic sum of U_10(t, 2) 6H, not a multiple of 12
-    monkeypatch.setattr(es, "hurwitz6", lambda D: real(D) + 1)
+    monkeypatch.setattr(es, "hurwitz6_row", lambda n: [h + 1 for h in real(n)])
     code, out = run_cli(capsys, "trace", "--k", "12", "--n", "2")
     assert code == 3
     assert json.loads(out) == {
         "error": "trace formula integrality violated at k=12, n=2: -61/2"}
+
+
+@pytest.mark.parametrize("trace", ["1", "3"])
+def test_singular_element_is_a_domain_error(capsys, trace):
+    # det = 0 is not in GL2, whatever the discriminant trace^2 says
+    code, out = run_cli(capsys, "orbital", "--trace", trace, "--det", "0", "--p", "3")
+    assert code == 1
+    assert json.loads(out) == {"error": "det must be nonzero: an element of GL2 is invertible"}
 
 
 def test_zero_division_stays_a_domain_error(capsys, monkeypatch):

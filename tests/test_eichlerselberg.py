@@ -128,7 +128,7 @@ def test_eta_tau_bounds():
 
 def test_trace_budget_rejects_large_n_before_work():
     cap = es._TRACE_CAP
-    with pytest.raises(ValueError, match=rf"at most {cap}: .*O\(n\^\(3/2\)\) class-number work"):
+    with pytest.raises(ValueError, match=rf"at most {cap}: .*O\(n\) class-number work"):
         trace_formula(12, cap + 1)
     with pytest.raises(ValueError, match="at most"):
         trace_formula(12, 10 ** 9)
@@ -240,6 +240,8 @@ def test_series_product_matches_double_loop(data, order):
     product = PowerSeriesZ(a, order) * PowerSeriesZ(b, order)
     assert product.order == order
     assert product.coeffs == _dense_product(a, b)
+    f = PowerSeriesZ(a, order)   # f * f packs once and squares
+    assert (f * f).coeffs == _dense_product(a, a)
     with pytest.raises(ValueError, match="mismatched"):
         PowerSeriesZ(a, order) * PowerSeriesZ(b + [1], order + 1)
 
@@ -251,5 +253,7 @@ def test_series_product_at_the_slot_bound(order, top):
     for sa, sb in ((1, 1), (1, -1), (-1, -1)):
         a, b = [sa * top] * (order + 1), [sb * top] * (order + 1)
         assert (PowerSeriesZ(a, order) * PowerSeriesZ(b, order)).coeffs == _dense_product(a, b)
+        f = PowerSeriesZ(b, order)
+        assert (f * f).coeffs == _dense_product(b, b)
         one = [sb] + [0] * order
         assert (PowerSeriesZ(a, order) * PowerSeriesZ(one, order)).coeffs == _dense_product(a, one)

@@ -100,6 +100,9 @@ def test_full_report_examples():
 def test_full_report_rejects_degenerate():
     with pytest.raises(ValueError):
         full_report(F(2), F(1), 5)
+    for trace in (F(1), F(3), F(1, 2)):
+        with pytest.raises(ValueError, match="det must be nonzero"):
+            full_report(trace, F(0), 3)
 
 
 def test_geometric_consistent_with_dgbar_renormalization():

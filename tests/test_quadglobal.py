@@ -18,7 +18,7 @@ from padic_orbits.quadglobal import (
     dirichlet_L1,
     finite_adelic_volume,
     global_identity_check,
-    hurwitz6,
+    hurwitz6_row,
     hurwitz_hw,
     quad_field_data,
 )
@@ -69,7 +69,7 @@ def _refuse(*args):
 
 
 # Every entry point that walks or scans the forms of one discriminant.
-_CLASS_NUMBER_ENTRIES = [_reduced_triples, class_number, class_number_scan, hurwitz_hw, hurwitz6]
+_CLASS_NUMBER_ENTRIES = [_reduced_triples, class_number, class_number_scan, hurwitz_hw]
 
 
 @pytest.mark.parametrize("entry", _CLASS_NUMBER_ENTRIES, ids=lambda f: f.__name__)
@@ -125,7 +125,6 @@ def test_scan_does_not_walk(monkeypatch):
 def test_walk_does_not_scan(monkeypatch):
     monkeypatch.setattr(qg, "class_number_scan", _refuse)
     assert [class_number(D) for D in (-3, -4, -23, -3 * 577 ** 2)] == [1, 1, 3, 192]
-    assert [hurwitz6(D) for D in (-3, -4, -12, -23)] == [2, 3, 8, 18]
 
 
 def test_parity_stepped_scan_matches_full_b_range():
@@ -135,10 +134,13 @@ def test_parity_stepped_scan_matches_full_b_range():
 
 
 def test_hurwitz6_matches_class_number_sum():
+    # every D in [-5000, -3]: D = -4n at t = 0 and D = 1 - 4n at t = 1
     h = {}
-    for D in range(-3, -5001, -1):
-        if D % 4 in (0, 1):
-            assert F(hurwitz6(D), 6) == _hurwitz_from_class_numbers(D, h), D
+    for n in range(1, 1251):
+        row = hurwitz6_row(n)
+        for t in (0, 1):
+            D = t - 4 * n
+            assert F(row[t], 6) == _hurwitz_from_class_numbers(D, h), D
 
 
 @pytest.mark.parametrize("D, H", [
@@ -148,8 +150,62 @@ def test_hurwitz6_matches_class_number_sum():
 ])
 def test_hurwitz6_at_the_weighted_forms(D, H):
     # D = -3 m^2 and -4 m^2, m <= 6: m (x^2 + x y + y^2) weighs 1/3 and
-    # m (x^2 + y^2) weighs 1/2
-    assert hurwitz6(D) == 6 * H
+    # m (x^2 + y^2) weighs 1/2; 6 H(|D|) is the row of n = (t^2 - D)/4 at
+    # t = D mod 2
+    t = D % 2
+    assert hurwitz6_row((t * t - D) // 4)[t] == 6 * H
+
+
+def test_hurwitz6_row_matches_weighted_walk():
+    walk = {}
+    for n in range(1, 1501):
+        expected = []
+        for t in range(math.isqrt(4 * n - 1) + 1):
+            D = t * t - 4 * n
+            if D not in walk:
+                walk[D] = _weighted_walk(D)
+            expected.append(walk[D])
+        assert hurwitz6_row(n) == expected, n
+
+
+@settings(deadline=None)
+@given(st.integers(1, 2 * 10 ** 4), st.data())
+def test_hurwitz6_row_on_random_n(n, data):
+    row = hurwitz6_row(n)
+    assert len(row) == math.isqrt(4 * n - 1) + 1
+    t = data.draw(st.integers(0, len(row) - 1))
+    assert row[t] == _weighted_walk(t * t - 4 * n)
+    # Kronecker-Hurwitz: sum over all t in Z of H(4n - t^2), with H(0) = -1/12
+    # at t = +-2 sqrt(n), is 2 sigma(n) - sum_{d | n} min(d, n/d); times 6
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    square = math.isqrt(n) ** 2 == n
+    assert row[0] + 2 * sum(row[1:]) - square == 6 * (
+        2 * sum(divisors) - sum(min(d, n // d) for d in divisors))
+
+
+def test_hurwitz6_row_does_not_walk_or_scan(monkeypatch):
+    expected = [hurwitz6_row(n) for n in (1, 2, 3, 27, 1000)]
+    for name in ("_reduced_triples", "class_number", "class_number_scan"):
+        monkeypatch.setattr(qg, name, _refuse)
+    assert [hurwitz6_row(n) for n in (1, 2, 3, 27, 1000)] == expected
+    assert expected[:3] == [[3, 2], [6, 6, 3], [8, 6, 6, 2]]
+
+
+@pytest.mark.parametrize("n", [0, qg._ROW_CAP + 1, 10 ** 12])
+def test_hurwitz6_row_budget_rejects_before_work(monkeypatch, n):
+    # the row sizes its tables with isqrt
+    monkeypatch.setattr(qg, "isqrt", _refuse)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=rf"between 1 and {qg._ROW_CAP}: .* O\(n\) work"):
+        hurwitz6_row(n)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_hurwitz6_row_budget_admits_the_cap(monkeypatch):
+    monkeypatch.setattr(qg, "_ROW_CAP", 50)
+    assert len(hurwitz6_row(50)) == 15
+    with pytest.raises(ValueError, match="between 1 and 50"):
+        hurwitz6_row(51)
 
 
 def test_hurwitz_examples():
@@ -323,6 +379,18 @@ def _full_b_scan(D):
                 count += 1
         a += 1
     return count
+
+
+def _weighted_walk(D):
+    # 6 H(|D|) on the walk: (a, 0, a) weighs 3, (a, a, a) weighs 2, the other
+    # boundary triples 6 and the rest 12, which stand for (a, +-b, c)
+    total = 0
+    for a, b, c in qg._reduced_triples(D):
+        if b == 0 or b == a or a == c:
+            total += 3 if b == 0 and a == c else 2 if b == a == c else 6
+        else:
+            total += 12
+    return total
 
 
 def _hurwitz_from_class_numbers(D, h):
