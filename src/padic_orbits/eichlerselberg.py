@@ -71,11 +71,19 @@ def trace_formula(k: int, n: int) -> TraceTerms:
     weighted class numbers of the orders containing the root of
     X^2 - t X + n.  All of 6H(4n - t^2), t >= 0, come from one O(n) sweep,
     ``hurwitz6_row(n)``.  For even k both factors are even in t, so t = 0 is
-    summed once and each t > 0 twice.  The sum is accumulated in integers
-    as U_{k-2}(t, n) 6H(4n - t^2) and divided by 6 once.  The hyperbolic sum
-    of min(d, n/d)^(k-1) over the divisors d of n pairs d with n/d, so it
-    walks d <= sqrt(n) only.  Non-integral traces are a hard error: they
-    would mean a corrupted constant somewhere.
+    summed once and each t > 0 twice.  The hyperbolic sum of
+    min(d, n/d)^(k-1) over the divisors d of n pairs d with n/d, so it walks
+    d <= sqrt(n) only.
+
+    Everything is accumulated as one integer,
+
+        12 Tr T_n = (k - 1) n^(k/2 - 1) [n square]
+                    - sum_t U_{k-2}(t, n) 6H(4n - t^2) - 6 sum_{d | n} min(d, n/d)^(k-1),
+
+    and the trace is its quotient by 12.  A nonzero remainder is a hard
+    error: it would mean a corrupted constant somewhere.  The four reported
+    terms are then each one Fraction of integers over 12, 12 n^(k/2 - 1) or
+    2 n^(k/2 - 1).
     """
     if k % 2 or k < 4:
         raise ValueError("weight must be an even integer >= 4")
@@ -87,22 +95,27 @@ def trace_formula(k: int, n: int) -> TraceTerms:
         )
     root = isqrt(n)
     square = root * root == n
-    identity = Fraction(k - 1, 12) if square else Fraction(0)
-    scale = Fraction(n) ** (1 - k // 2)
-    elliptic_sum_6 = 0
+    power = n ** (k // 2 - 1)
+    elliptic_6 = 0
     for t, h6 in enumerate(hurwitz6_row(n)):
         term = gegenbauer_like(t, n, k - 2) * h6
-        elliptic_sum_6 += term if t == 0 else 2 * term
-    elliptic = -scale * Fraction(elliptic_sum_6, 12)
+        elliptic_6 += term if t == 0 else 2 * term
     divisor_sum = sum(2 * d ** (k - 1) for d in range(1, root + 1) if n % d == 0)
     if square:
         divisor_sum -= root ** (k - 1)
-    hyperbolic = -scale * Fraction(divisor_sum) / 2
-    total = identity + elliptic + hyperbolic
-    scaled = total * Fraction(n) ** (k // 2 - 1)
-    if scaled.denominator != 1:
-        raise ArithmeticError(f"trace formula integrality violated at k={k}, n={n}: {scaled}")
-    return TraceTerms(k, n, identity, elliptic, hyperbolic, total, scaled.numerator)
+    trace_12 = ((k - 1) * power if square else 0) - elliptic_6 - 6 * divisor_sum
+    trace, rem = divmod(trace_12, 12)
+    if rem:
+        raise ArithmeticError(
+            f"trace formula integrality violated at k={k}, n={n}: {Fraction(trace_12, 12)}")
+    return TraceTerms(
+        k, n,
+        Fraction(k - 1, 12) if square else Fraction(0),
+        Fraction(-elliptic_6, 12 * power),
+        Fraction(-divisor_sum, 2 * power),
+        Fraction(trace, power),
+        trace,
+    )
 
 
 def dim_cusp_forms(k: int) -> int:

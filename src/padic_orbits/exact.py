@@ -26,6 +26,8 @@ def is_prime(n: int) -> bool:
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
+    if n < 41 * 41:
+        return True   # a composite below 41^2 has a prime factor of at most 37
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -48,40 +50,46 @@ def _require_prime(p: int) -> None:
         raise ValueError(f"{p} is not prime")
 
 
-# Trial division to sqrt|n| takes up to 5 * 10^5 steps at the cap.
-_TRIAL_CAP = 10 ** 12
+# Trial division tries at most 5 * 10^5 divisors, however large |n| is.
+_TRIAL_BOUND = 10 ** 6
 
 
-def _check_trial(n: int) -> int:
-    """|n|, once it is within the trial-division budget."""
-    n = abs(n)
-    if n > _TRIAL_CAP:
-        raise ValueError(f"|n| must be at most {_TRIAL_CAP}: trial division does O(sqrt|n|) work")
-    return n
+def _check_trial(d: int) -> None:
+    """Raise once a trial-division loop needs a divisor d above _TRIAL_BOUND.
+
+    The loops ask only while d^2 is at most the cofactor, so this raises
+    exactly when the divisor passes the bound with the cofactor still above
+    its square; any |n| whose cofactor drops below that square is admitted.
+    """
+    if d > _TRIAL_BOUND:
+        raise ValueError(
+            f"trial division stops at divisor {_TRIAL_BOUND}: "
+            f"a cofactor above {_TRIAL_BOUND}^2 with no smaller prime factor remains"
+        )
 
 
 def is_squarefree(n: int) -> bool:
     """True iff the integer n is squarefree (0 is not)."""
-    n = _check_trial(n)
+    n = abs(n)
     if n == 0:
         return False
-    if n % 4 == 0:
-        return False
-    d = 3
+    d = 2
     while d * d <= n:
+        _check_trial(d)
         if n % (d * d) == 0:
             return False
         while n % d == 0:
             n //= d
-        d += 2
+        d += 1 if d == 2 else 2
     return True
 
 
 def _prime_powers(n: int):
     """Yield (p, e) for each prime power p^e exactly dividing |n|, by trial division."""
-    n = _check_trial(n)
+    n = abs(n)
     d = 2
     while d * d <= n:
+        _check_trial(d)
         if n % d == 0:
             e = 0
             while n % d == 0:
@@ -98,9 +106,13 @@ def squarefree_part(x: Fraction) -> int:
     if x == 0:
         raise ValueError("squarefree part of zero undefined")
     # x has the square class of numerator * denominator; the two are coprime,
-    # so each is factored on its own within the trial-division budget.
+    # so each is factored on its own within the trial-division budget.  A
+    # perfect square, such as the denominator t^2 of a discriminant built
+    # from a rational trace, contributes nothing and is not factored.
     out = -1 if x < 0 else 1
-    for n in (x.numerator, x.denominator):
+    for n in (abs(x.numerator), x.denominator):
+        if isqrt(n) ** 2 == n:
+            continue
         for p, e in _prime_powers(n):
             if e % 2:
                 out *= p
@@ -128,15 +140,13 @@ def is_fundamental_discriminant(D: int) -> bool:
 def ord_p(x: RationalLike, p: int) -> int:
     """Normalized p-adic valuation of a nonzero rational; ord_p(p) = 1."""
     _require_prime(p)
-    x = Fraction(x)
     if x == 0:
         raise ValueError("valuation of zero undefined")
+    n, d = (x, 1) if isinstance(x, int) else (x.numerator, x.denominator)
     v = 0
-    n = x.numerator
     while n % p == 0:
         n //= p
         v += 1
-    d = x.denominator
     while d % p == 0:
         d //= p
         v -= 1
@@ -158,7 +168,8 @@ class QHalfPower:
     q: int
 
     def __post_init__(self):
-        object.__setattr__(self, "coeff", Fraction(self.coeff))
+        if not isinstance(self.coeff, Fraction):
+            object.__setattr__(self, "coeff", Fraction(self.coeff))
         if self.q < 1:
             raise ValueError("q must be a positive integer")
         if self.coeff == 0 and self.half_exp != 0:
@@ -167,14 +178,19 @@ class QHalfPower:
     # -- canonical value key: absorb the even part of the exponent ------
     def _key(self):
         if self.coeff == 0:
-            return (Fraction(0), 0, self.q)
+            return (0, 0, self.q)
         k, parity = divmod(self.half_exp, 2)
-        return (self.coeff * Fraction(self.q) ** k, parity, self.q)
+        c = self.coeff
+        if k > 0:
+            c *= self.q ** k
+        elif k < 0:
+            c /= self.q ** -k
+        return (c, parity, self.q)
 
     def _coerce(self, other):
         """other as a QHalfPower (rationals at q^0), or NotImplemented if foreign."""
         if isinstance(other, (int, Fraction)):
-            return QHalfPower(Fraction(other), 0, self.q)
+            return QHalfPower(other, 0, self.q)
         return other if isinstance(other, QHalfPower) else NotImplemented
 
     def __eq__(self, other):
@@ -231,7 +247,7 @@ class QHalfPower:
         if (self.half_exp - other.half_exp) % 2:
             raise ValueError("incommensurable half-powers")
         h = min(self.half_exp, other.half_exp)
-        q = Fraction(self.q)
+        q = self.q
         c = (self.coeff * q ** ((self.half_exp - h) // 2)
              + other.coeff * q ** ((other.half_exp - h) // 2))
         return QHalfPower(c, h, self.q)
@@ -284,7 +300,7 @@ class QHalfPower:
 
 
 def qhalf(coeff: RationalLike, q: int, half_exp: int = 0) -> QHalfPower:
-    return QHalfPower(Fraction(coeff), half_exp, q)
+    return QHalfPower(coeff, half_exp, q)
 
 
 def qhalf_zero(q: int) -> QHalfPower:

@@ -4,7 +4,10 @@ For squarefree d, the algebra Q_p(sqrt d) is split, an unramified field, or a
 ramified field.  The maximal compact subgroup of the associated rank-2 torus
 (the unit group of the algebra) has an exact closed-form volume with respect
 to the character volume form; this module emits those volumes in every
-normalization together with the local Artin L-factor bookkeeping.
+normalization together with the local Artin L-factor bookkeeping.  Each
+closed form is built as one Fraction of two integer polynomials in p, such as
+(p - 1)(p - chi(p)) / p^2, not as a chain of rational operations like
+(1 - 1/p)(1 - chi(p)/p).
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .exact import (
     is_fundamental_discriminant,
     is_squarefree,
     ord_p,
-    qhalf,
 )
 
 
@@ -110,25 +112,25 @@ def chi_at_p(disc: int, p: int) -> int:
 def artin_L_at_1(t: LocalQuadType, q: int) -> Fraction:
     """L-factor at s=1 of the Galois action on the rank-2 character lattice.
 
-    Split: (1 - 1/q)^-2.  Unramified: Frobenius swaps the coordinates,
-    (1 - 1/q^2)^-1.  Ramified: inertia invariants have rank one with trivial
-    Frobenius action, (1 - 1/q)^-1.
+    Split: (1 - 1/q)^-2 = q^2 / (q - 1)^2.  Unramified: Frobenius swaps the
+    coordinates, (1 - 1/q^2)^-1 = q^2 / (q^2 - 1).  Ramified: inertia
+    invariants have rank one with trivial Frobenius action,
+    (1 - 1/q)^-1 = q / (q - 1).  Each is one Fraction of two integers.
     """
-    q = Fraction(q)
     if t.kind is QuadKind.SPLIT:
-        return 1 / (1 - 1 / q) ** 2
+        return Fraction(q * q, (q - 1) ** 2)
     if t.kind is QuadKind.UNRAMIFIED:
-        return 1 / (1 - 1 / q ** 2)
-    return 1 / (1 - 1 / q)
+        return Fraction(q * q, q * q - 1)
+    return Fraction(q, q - 1)
 
 
 def norm1_artin_L_at_1(t: LocalQuadType, q: int) -> Fraction:
-    """Same L-factor for the rank-1 norm-one subtorus."""
-    q = Fraction(q)
+    """Same L-factor for the rank-1 norm-one subtorus: q / (q - 1) split,
+    (1 + 1/q)^-1 = q / (q + 1) unramified, 1 ramified."""
     if t.kind is QuadKind.SPLIT:
-        return 1 / (1 - 1 / q)
+        return Fraction(q, q - 1)
     if t.kind is QuadKind.UNRAMIFIED:
-        return 1 / (1 + 1 / q)
+        return Fraction(q, q + 1)
     return Fraction(1)  # inertia invariants vanish
 
 
@@ -160,29 +162,29 @@ def res_torus_volume(t: LocalQuadType, p: int) -> TorusVolumeReport:
 
     For p = 2 the |2| = 1/2 prefactor enters; whether 1/sqrt(q) also appears
     depends on whether d itself carries the ramification (TwiceUnit) or only
-    the discriminant does (UnitNonSquare, where sqrt(d) is a unit).
+    the discriminant does (UnitNonSquare, where sqrt(d) is a unit).  Each
+    coefficient is one Fraction of two integers: (1 - 1/p)^2 is
+    (p - 1)^2 / p^2, and (1 - 1/p)(1 + 1/p) is (p^2 - 1) / p^2.
     """
     _require_prime(p)
-    q = Fraction(p)
-    one_minus = 1 - 1 / q
     if t.kind is QuadKind.SPLIT:
-        vol = qhalf(one_minus ** 2, p)
+        vol = QHalfPower(Fraction((p - 1) ** 2, p * p), 0, p)
     elif t.kind is QuadKind.UNRAMIFIED:
-        vol = qhalf(one_minus * (1 + 1 / q), p)
+        vol = QHalfPower(Fraction(p * p - 1, p * p), 0, p)
     elif p != 2:
-        vol = qhalf(one_minus, p, half_exp=-1)
+        vol = QHalfPower(Fraction(p - 1, p), -1, p)
     elif t.p2_detail is None:
         raise ValueError("ramified type at p = 2 needs its p2_detail subcase")
     elif t.p2_detail is P2Detail.TWICE_UNIT:
         # |2 sqrt(d)| = (1/2) q^(-1/2)
-        vol = qhalf(one_minus / 2, p, half_exp=-1)
+        vol = QHalfPower(Fraction(p - 1, 2 * p), -1, p)
     else:
         # d is a unit: |2 sqrt(d)| = 1/2 and no half power survives
-        vol = qhalf(one_minus / 2, p)
+        vol = QHalfPower(Fraction(p - 1, 2 * p), 0, p)
     L = artin_L_at_1(t, p)
     index = 1  # the standard model of the unit-group torus is its Neron model
     unverified = p == 2 and t.kind is QuadKind.RAMIFIED
-    return TorusVolumeReport(t, vol, L, 1 / L, index, unverified)
+    return TorusVolumeReport(t, vol, L, Fraction(L.denominator, L.numerator), index, unverified)
 
 
 def norm1_volume(t: LocalQuadType, p: int) -> QHalfPower:
@@ -198,9 +200,9 @@ def norm1_volume(t: LocalQuadType, p: int) -> QHalfPower:
             "use pointcount.volume_profile / digit_table for the raw counts"
         )
     if t.kind is QuadKind.UNRAMIFIED:
-        return qhalf(1 + Fraction(1, p), p)
+        return QHalfPower(Fraction(p + 1, p), 0, p)
     if t.kind is QuadKind.RAMIFIED:
-        return qhalf(2, p, half_exp=-1)
+        return QHalfPower(Fraction(2), -1, p)
     raise ValueError("norm-one volume is stated for the unramified and ramified kinds")
 
 
@@ -228,18 +230,21 @@ def norm1_report(t: LocalQuadType, p: int) -> Norm1VolumeReport:
     vol = norm1_volume(t, p)
     L = norm1_artin_L_at_1(t, p)
     index = 2 if t.kind is QuadKind.RAMIFIED else 1
-    return Norm1VolumeReport(t, vol, L, 1 / L, index)
+    return Norm1VolumeReport(t, vol, L, Fraction(L.denominator, L.numerator), index)
 
 
 def classnum_local_check(d: int, p: int) -> bool:
-    """Exact check of vol(O_v^x) = (1 - 1/p) L_p(1, chi)^-1 |Delta|_p^(1/2)."""
+    """Exact check of vol(O_v^x) = (1 - 1/p) L_p(1, chi)^-1 |Delta|_p^(1/2).
+
+    The right side is one scalar: the coefficient (1 - 1/p)(1 - chi(p)/p) is
+    the Fraction (p - 1)(p - chi(p)) / p^2, and |Delta|_p^(1/2) is the
+    half-exponent -ord_p(Delta).
+    """
     if d >= 0 or not is_squarefree(d):
         raise ValueError("d must be a negative squarefree integer")
     t = classify_quad(d, p)
     lhs = res_torus_volume(t, p).vol_omega_T_Tc
     disc = fundamental_discriminant(d)
     chi = chi_at_p(disc, p)
-    l_inv = 1 - Fraction(chi, p)
-    half_disc_abs = QHalfPower(Fraction(1), -ord_p(disc, p), p)
-    rhs = qhalf((1 - Fraction(1, p)) * l_inv, p) * half_disc_abs
+    rhs = QHalfPower(Fraction((p - 1) * (p - chi), p * p), -ord_p(disc, p), p)
     return lhs == rhs

@@ -10,17 +10,28 @@ and for smooth odd-p curves this equals the plain congruence count; at p = 2
 the congruence count overshoots (solutions mod 2^k that fail to persist), so
 the image is computed by enumerating at a deeper level and projecting.  The
 raw congruence counts are kept alongside for transparency.
+
+A congruence count enumerates every residue mod p^k once, squaring it into
+one histogram X of the squares, and sums X[s] X[(c + d s) mod p^k] over the
+squares s: each y with y^2 = s pairs with each root x of c + d s.  Only the
+p = 2 projection builds the pairs themselves.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from math import isqrt
+from operator import mod, mul
 from typing import Iterator, Optional, Sequence
 
 from .exact import _require_prime, frac_to_json, is_squarefree
 
+# p^(2k) <= 10^9 is the same condition as p^k <= isqrt(10^9) = 31,622, and
+# the work of a count is O(p^k): one table of the squares mod p^k.
 _ENUM_BUDGET = 10 ** 9
 # Hensel: a mod-2^(k+2) congruence solution of the norm-one equation agrees
 # with a true Z_2 solution mod 2^k (the gradient (2x, -2dy) has valuation
@@ -52,12 +63,15 @@ def _check_args(p: int, k: int) -> None:
     if k < 1:
         raise ValueError("k must be >= 1")
     if p ** (2 * k) > _ENUM_BUDGET:
-        raise ValueError(f"enumeration budget exceeded: p^2k = {p ** (2 * k)} > {_ENUM_BUDGET}")
+        raise ValueError(
+            f"enumeration budget exceeded: the work is p^k = {p ** k}, "
+            f"at most {isqrt(_ENUM_BUDGET):,}")
 
 
 def _fibres(d: int, c: int, m: int) -> Iterator[tuple[int, Sequence[int]]]:
     """Yield (y, [x mod m with x^2 = c + d y^2 mod m]) for each y mod m, from
-    one pass over the squares mod m."""
+    one pass over the squares mod m.  Only the p = 2 pair sets need the
+    pairs themselves; counts come from ``_congruence_count``."""
     roots: dict[int, list[int]] = {}
     for x in range(m):
         roots.setdefault(x * x % m, []).append(x)
@@ -66,13 +80,20 @@ def _fibres(d: int, c: int, m: int) -> Iterator[tuple[int, Sequence[int]]]:
 
 
 def _congruence_count(eq: NormEquation, p: int, k: int) -> int:
-    """Plain count of pairs mod p^k satisfying eq."""
-    if eq.constraint is Constraint.UNIT_NORM:
-        # The unit condition only depends on (x, y) mod p: every pair except
-        # the zeros of the norm form.
-        zeros = sum(len(xs) for _, xs in _fibres(eq.epsilon, 0, p))
-        return (p * p - zeros) * p ** (2 * (k - 1))
-    return sum(len(xs) for _, xs in _fibres(eq.epsilon, 1, p ** k))
+    """Plain count of pairs mod p^k satisfying eq, from one histogram of squares.
+
+    X[s] counts the residues mod m whose square is s, so the pairs with
+    x^2 = c + d y^2 mod m number sum_s X[s] X[(c + d s) mod m]: y runs over
+    the X[s] roots of s and x over the roots of c + d s.
+    """
+    unit = eq.constraint is Constraint.UNIT_NORM
+    # The unit condition only depends on (x, y) mod p: every pair except the
+    # zeros x^2 = d y^2 of the norm form.
+    c, m = (0, p) if unit else (1, p ** k)
+    X = Counter(map(pow, range(m), repeat(2), repeat(m)))
+    targets = map(mod, map(c.__add__, map(eq.epsilon.__mul__, X)), repeat(m))
+    pairs = sum(map(mul, X.values(), map(X.get, targets, repeat(0))))
+    return (p * p - pairs) * p ** (2 * (k - 1)) if unit else pairs
 
 
 def _norm_one_solution_pairs(d: int, p: int, k: int) -> set[tuple[int, int]]:

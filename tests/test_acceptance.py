@@ -7,9 +7,11 @@ expected failures: the suite stays green while recording exactly which
 published values cannot be reproduced and why.  Everything else must pass.
 """
 
+import json
 import math
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -64,6 +66,20 @@ def test_criterion_8_orbit_form_numerics():
 
 def test_criterion_9_jacobian_identities():
     _report(acceptance.criterion_9_jacobians(), 5)
+
+
+# The benchmark's golden record of reproduce-all, read here and never written.
+_GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden_acceptance.json"
+
+
+# The six criteria whose JSON holds no float: any change to their output,
+# under any interpreter flag, is a change to what reproduce-all prints.
+@pytest.mark.parametrize("key", ["torus-volumes", "digit-analysis", "local-cnf",
+                                 "gl2-factorization", "trace-formula", "jacobians"])
+def test_float_free_criteria_match_the_golden_record(key):
+    got = dict(acceptance.CRITERIA)[key]().to_json()
+    del got["seconds"]
+    assert got == json.loads(_GOLDEN.read_text())[key]
 
 
 def test_run_all_with_skip():

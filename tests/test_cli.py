@@ -117,18 +117,38 @@ def test_trace_over_budget_is_a_json_error_at_once(capsys):
     assert "at most 100000" in json.loads(out)["error"]
 
 
+# 1000003 and 1000033 are primes above the trial-division bound of 10^6, so
+# neither N nor 4N factors before the bound.
+_UNFACTORED = 1000003 * 1000033
+
+
 @pytest.mark.parametrize("argv", [
-    "torus-volume --d 1000000000000000003 --p 3",
-    "point-count --d 1000000000000000003 --p 3 --k 1 --constraint unit",
-    f"orbital --trace 1 --det {10 ** 29} --p 3",
-    f"global-check --trace 1 --det {10 ** 30}",
+    f"torus-volume --d {_UNFACTORED} --p 3",
+    f"point-count --d {_UNFACTORED} --p 3 --k 1 --constraint unit",
+    f"orbital --trace 0 --det {_UNFACTORED} --p 3",
+    f"global-check --trace 0 --det {_UNFACTORED}",
 ], ids=["torus-volume", "point-count", "orbital", "global-check"])
 def test_huge_input_is_a_json_error_at_once(capsys, argv):
     start = time.perf_counter()
     code, out = run_cli(capsys, *argv.split())
-    assert time.perf_counter() - start < 5.0   # each ran past 10 s without the cap
+    assert time.perf_counter() - start < 5.0   # each ran past 10 s without the bound
     assert code == 1
-    assert "at most 1000000000000: trial division" in json.loads(out)["error"]
+    assert "trial division stops at divisor 1000000" in json.loads(out)["error"]
+
+
+# Each is above 10^12 but drops below the bound's square after small divisors:
+# 4 * 2^40, 4 * 10^29, and 1 - 4 * 1000003^2 over the square 1000003^2.
+@pytest.mark.parametrize("argv", [
+    "global-check --trace 0 --det 1099511627776",
+    f"orbital --trace 0 --det {10 ** 29} --p 3",
+    "orbital --trace 1/1000003 --det 1 --p 3",
+], ids=["global-check", "orbital", "orbital-rational"])
+def test_large_input_that_factors_at_once_is_admitted(capsys, argv):
+    start = time.perf_counter()
+    code, out = run_cli(capsys, *argv.split())
+    assert time.perf_counter() - start < 5.0
+    assert code == 0
+    assert "error" not in json.loads(out)
 
 
 def test_trace_odd_weight_is_usage_error():

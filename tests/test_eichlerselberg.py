@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 import padic_orbits.eichlerselberg as es
 from padic_orbits.eichlerselberg import (
     PowerSeriesZ,
+    TraceTerms,
     dim_cusp_forms,
     eigenform_coeffs,
     eta_tau,
@@ -195,6 +196,37 @@ def _trace_terms_reference(k, n):
     total = identity + elliptic + hyperbolic
     trace = total * F(n) ** (k // 2 - 1)
     return identity, elliptic, hyperbolic, total, trace
+
+
+def _trace_terms_fraction_chain(k, n):
+    # The Fraction-chain assembly trace_formula used before it summed one
+    # integer over 12: the same row and pairing of +-t, every term a Fraction.
+    root = isqrt(n)
+    square = root * root == n
+    identity = F(k - 1, 12) if square else F(0)
+    scale = F(n) ** (1 - k // 2)
+    elliptic_sum_6 = 0
+    for t, h6 in enumerate(es.hurwitz6_row(n)):
+        term = gegenbauer_like(t, n, k - 2) * h6
+        elliptic_sum_6 += term if t == 0 else 2 * term
+    elliptic = -scale * F(elliptic_sum_6, 12)
+    divisor_sum = sum(2 * d ** (k - 1) for d in range(1, root + 1) if n % d == 0)
+    if square:
+        divisor_sum -= root ** (k - 1)
+    hyperbolic = -scale * F(divisor_sum) / 2
+    total = identity + elliptic + hyperbolic
+    scaled = total * F(n) ** (k // 2 - 1)
+    assert scaled.denominator == 1
+    return TraceTerms(k, n, identity, elliptic, hyperbolic, total, scaled.numerator)
+
+
+@given(k=st.integers(2, 30).map(lambda j: 2 * j), n=st.integers(1, 3000))
+def test_trace_formula_matches_fraction_chain(k, n):
+    tt = trace_formula(k, n)   # ArithmeticError if not integral
+    assert isinstance(tt.trace, int)
+    assert tt.rhs_total == tt.identity_term + tt.elliptic_term + tt.hyperbolic_term
+    assert tt.rhs_total * F(n) ** (k // 2 - 1) == tt.trace
+    assert tt.to_json() == _trace_terms_fraction_chain(k, n).to_json()
 
 
 def test_hurwitz_reference_values():

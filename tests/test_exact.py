@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from padic_orbits.exact import (
-    _TRIAL_CAP,
+    _TRIAL_BOUND,
     QHalfPower,
     _prime_powers,
     abs_p,
@@ -173,9 +173,49 @@ def test_qhalf_float_agreement(c1, h1, c2, h2, q):
         assert math.isclose(float(total), float(a) + float(b), rel_tol=1e-12, abs_tol=1e-9)
 
 
+# Integer and Fraction coefficients, both of which QHalfPower accepts.
+mixed_coeffs = st.one_of(st.integers(-30, 30),
+                         st.fractions(min_value=-30, max_value=30, max_denominator=30))
+
+
+@st.composite
+def same_parity_triples(draw):
+    q = draw(st.sampled_from(PRIMES))
+    parity = draw(st.integers(0, 1))
+    return [QHalfPower(draw(mixed_coeffs), 2 * draw(st.integers(-4, 4)) + parity, q)
+            for _ in range(3)]
+
+
+@given(same_parity_triples())
+def test_qhalf_field_laws(triple):
+    a, b, c = triple
+    for lhs, rhs in (
+        ((a + b) + c, a + (b + c)),
+        (a + b, b + a),
+        ((a * b) * c, a * (b * c)),
+        (a * b, b * a),
+        (a * (b + c), a * b + a * c),
+    ):
+        assert lhs == rhs and hash(lhs) == hash(rhs)
+
+
+@given(c=mixed_coeffs, h=halves, s=st.integers(-5, 5), q=st.sampled_from(PRIMES))
+def test_qhalf_eq_and_hash_across_even_shifts(c, h, s, q):
+    # c q^(h/2) = (c / q^s) q^((h + 2s)/2); an int coefficient stays an int
+    # where the shift allows it.
+    shifted = c * q ** -s if s <= 0 else Fraction(c, q ** s)
+    a, b = QHalfPower(c, h, q), QHalfPower(shifted, h + 2 * s, q)
+    assert a == b and hash(a) == hash(b)
+    assert QHalfPower(c, h + 1, q) != b or c == 0
+
+
 def test_is_prime():
     assert [p for p in range(60) if is_prime(p)] == [
         2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+    # Every n below 41^2 is decided by the witnesses alone; check past that
+    # square against a sieve.
+    sieve = [n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1)) for n in range(2000)]
+    assert [is_prime(n) for n in range(2000)] == sieve
     assert is_prime(2 ** 61 - 1)
     assert not is_prime(2 ** 61 + 1)
 
@@ -201,12 +241,17 @@ _TRIAL_ENTRIES = [
 ]
 
 
+# 1000003 and 1000033 are primes above the trial bound, and 10^18 + 3 has no
+# prime factor below 10^7.
+_UNFACTORED = (1000003 * 1000033, -(10 ** 18 + 3))
+
+
 @pytest.mark.parametrize("entry", _TRIAL_ENTRIES)
 def test_trial_division_budget_rejects_large_n_before_work(entry):
     start = time.perf_counter()
-    for n in (_TRIAL_CAP + 1, -(10 ** 18 + 3), 10 ** 29):
-        with pytest.raises(ValueError, match=rf"at most {_TRIAL_CAP}: trial division does "
-                                             r"O\(sqrt\|n\|\) work"):
+    for n in _UNFACTORED:
+        with pytest.raises(ValueError, match=rf"trial division stops at divisor {_TRIAL_BOUND}: "
+                                             rf"a cofactor above {_TRIAL_BOUND}\^2"):
             entry(n)
     assert time.perf_counter() - start < 1.0   # dividing to 10^9 would take minutes
 
@@ -214,7 +259,19 @@ def test_trial_division_budget_rejects_large_n_before_work(entry):
 def test_trial_division_budget_admits_the_cap():
     p = 999_999_999_989   # the largest prime below 10^12
     assert is_squarefree(-p) and list(_prime_powers(p)) == [(p, 1)]
-    assert not is_squarefree(_TRIAL_CAP)
-    assert list(_prime_powers(-_TRIAL_CAP)) == [(2, 12), (5, 12)]
-    # numerator times denominator exceeds the cap, but each part is within it
+    assert not is_squarefree(10 ** 12)
+    assert list(_prime_powers(-10 ** 12)) == [(2, 12), (5, 12)]
     assert squarefree_part(Fraction(-p, 2 ** 39)) == -2 * p
+
+
+def test_trial_division_admits_large_n_that_factors_at_once():
+    # Far above 10^12, but the cofactor drops below the bound's square after
+    # small divisors, so the work is that of a small n.
+    start = time.perf_counter()
+    assert list(_prime_powers(10 ** 12 + 1)) == [(73, 1), (137, 1), (99990001, 1)]
+    assert list(_prime_powers(-10 ** 29)) == [(2, 29), (5, 29)]
+    assert is_squarefree(6 * 999_999_999_989) and not is_squarefree(2 ** 40)
+    assert squarefree_part(Fraction(-10 ** 29)) == -10
+    # a square is not factored: 1000003^2 alone would pass the bound
+    assert squarefree_part(Fraction(3, 1000003 ** 2)) == 3
+    assert time.perf_counter() - start < 1.0

@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from padic_orbits.exact import is_prime, is_squarefree
+from padic_orbits.exact import QHalfPower, is_prime, is_squarefree, ord_p
+from padic_orbits.localquad import QuadKind, classify_quad, norm1_volume, res_torus_volume
 from padic_orbits.pointcount import (
     Constraint,
     NormEquation,
@@ -87,6 +89,37 @@ def test_norm_one_congruence_count_matches_double_loop(p, k):
     m = p ** k
     for d in SQUAREFREE_D:
         assert raw_count_mod(eq(d, ONE), p, k) == loop_count(d, m, 1, m), d
+
+
+ODD_PRIMES_TO_100 = [p for p in range(3, 101) if is_prime(p)]
+
+
+@given(d=st.integers(-10 ** 4, 10 ** 4).filter(lambda d: d not in (0, 1) and is_squarefree(d)),
+       p=st.sampled_from(ODD_PRIMES_TO_100), k=st.integers(1, 3))
+def test_counts_match_literal_loop_and_closed_forms(d, p, k):
+    # The literal (x, y) loop over (Z/p^k)^2, at the deepest k <= 3 with at
+    # most 10^4 pairs, classifies each pair by its norm.
+    while p ** (2 * k) > 10 ** 4:
+        k -= 1
+    m = p ** k
+    norms = [(x * x - d * y * y) % m for x in range(m) for y in range(m)]
+    units = sum(1 for v in norms if v % p)
+    ones = norms.count(1)
+    for count in (count_mod, raw_count_mod):
+        assert count(eq(d, UNIT), p, k) == units
+        assert count(eq(d, ONE), p, k) == ones
+    # |2 sqrt(d)|_p at odd p, as in the torus-volume criterion
+    prefactor = QHalfPower(Fraction(1), -ord_p(d, p), p)
+    t = classify_quad(d, p)
+    closed = res_torus_volume(t, p).vol_omega_T_Tc
+    unit_k1 = count_mod(eq(d, UNIT), p, 1)
+    assert QHalfPower(Fraction(unit_k1, p * p), 0, p) * prefactor == closed
+    if p > 31:
+        return
+    assert QHalfPower(volume_profile(eq(d, UNIT), p, 3).volume, 0, p) * prefactor == closed
+    if t.kind is not QuadKind.SPLIT:   # norm1_volume is stated for non-split kinds
+        one = volume_profile(eq(d, ONE), p, 3).volume
+        assert QHalfPower(one, 0, p) * prefactor == norm1_volume(t, p)
 
 
 def test_raw_vs_image_counts():
