@@ -29,7 +29,7 @@ from .exact import (
 )
 from .localquad import QuadKind, classify_quad, classnum_local_check
 from .pointcount import Constraint, DigitConstraint, NormEquation, digit_table, volume_profile
-from .weylsteinberg import OrbitKind
+from .weylsteinberg import OrbitKind, _Dual
 
 
 @dataclass
@@ -73,30 +73,6 @@ def _result(key: str, title: str, t0: float, details: list, failures: list,
     """A criterion passes exactly when it collected no failures; they follow its details."""
     return CriterionResult(key, title, not failures, time.perf_counter() - t0,
                            details + failures, discrepancies or [])
-
-
-class _Dual:
-    """Minimal dual numbers over Fraction: exact forward derivatives."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b=0):
-        self.a, self.b = Fraction(a), Fraction(b)
-
-    def __add__(self, o):
-        o = o if isinstance(o, _Dual) else _Dual(o)
-        return _Dual(self.a + o.a, self.b + o.b)
-
-    __radd__ = __add__
-
-    def __mul__(self, o):
-        o = o if isinstance(o, _Dual) else _Dual(o)
-        return _Dual(self.a * o.a, self.a * o.b + self.b * o.a)
-
-    __rmul__ = __mul__
-
-    def inv(self):
-        return _Dual(1 / self.a, -self.b / (self.a * self.a))
 
 
 _SQUAREFREE_CANDIDATES = [-1, 2, -2, 3, -3, 5, -5, 6, -6, 7, -7, 10, -10, 11, -11, 13, -13]
@@ -363,8 +339,7 @@ def criterion_9_jacobians() -> CriterionResult:
         t = rand_frac()
         if t in (0, 1, -1):
             continue
-        x = _Dual(t, 1)
-        dual_derivative = (x + x.inv()).b
+        dual_derivative = weylsteinberg.steinberg_sl2(_Dual(t, 1)).b
         if dual_derivative != weylsteinberg.sl2_jacobian(t):
             failures.append(f"FAIL rank-1 derivative at t={t}")
         if dual_derivative != -(t ** -2) * (1 - t * t):

@@ -200,7 +200,10 @@ class QHalfPower:
         return self._key() == other._key()  # the key ends with q
 
     def __hash__(self):
-        return hash(self._key())
+        c, parity, q = self._key()
+        # A value with no odd power of sqrt(q) equals its rational, so it
+        # must hash as that rational.
+        return hash((c, parity, q)) if parity else hash(c)
 
     def as_fraction(self) -> Fraction:
         """Exact rational value; error if an odd power of sqrt(q) remains."""

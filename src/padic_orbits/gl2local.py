@@ -20,9 +20,8 @@ def orbital_canonical_f0(c: Gl2OrbitClass) -> Fraction:
     """Orbital integral of 1_{GL2(O)} with vol(T^c) = 1 on the centralizer.
 
     Hyperbolic: q^d.  Unramified elliptic: 1 + (q+1)(q^d - 1)/(q - 1).
-    Ramified elliptic: (q^(d+1) - 1)/(q - 1); this is half the fixed-point
-    count, which is normalized to vol(Z\\T) = 1 instead (see
-    ``building_fixed_points``).
+    Ramified elliptic: (q^(d+1) - 1)/(q - 1); this is half the count of
+    fixed points on the tree, which is normalized to vol(Z\\T) = 1 instead.
     """
     q = Fraction(c.q)
     if c.kind is OrbitKind.HYPERBOLIC:
@@ -30,12 +29,6 @@ def orbital_canonical_f0(c: Gl2OrbitClass) -> Fraction:
     if c.kind is OrbitKind.UNRAM_ELLIPTIC:
         return 1 + (q + 1) * (q ** c.d - 1) / (q - 1)
     return (q ** (c.d + 1) - 1) / (q - 1)
-
-
-def building_fixed_points(c: Gl2OrbitClass) -> Fraction:
-    """Fixed-point count on the tree: 2 * O_can for ramified classes, else O_can."""
-    mult = 2 if c.kind is OrbitKind.RAM_ELLIPTIC else 1
-    return mult * orbital_canonical_f0(c)
 
 
 def orbital_geometric_f0(c: Gl2OrbitClass) -> QHalfPower:

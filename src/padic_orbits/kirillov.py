@@ -62,22 +62,6 @@ def _form_value(p: tuple[float, float, float], u, v) -> float:
             + f3 * (u[1] * v[2] - u[2] * v[1]))
 
 
-def sphere_frame_contraction(x: float, y: float, z: float) -> float:
-    """|form(u, v)| on an orthonormal tangent frame; the density, expected 2."""
-    p = (x, y, z)
-    # any direction not parallel to p seeds the frame
-    seed = (1.0, 0.0, 0.0) if abs(x) < 0.9 else (0.0, 1.0, 0.0)
-    u = _cross(seed, p)
-    nu = math.sqrt(sum(c * c for c in u))
-    u = tuple(c / nu for c in u)
-    v = _cross(p, u)
-    return abs(_form_value(p, u, v))
-
-
-def _cross(a, b):
-    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
-
-
 def sphere_density_spherical(phi: float, theta: float) -> float:
     """|form(d_phi, d_theta)| in spherical coordinates; expected 2 sin(phi)."""
     if not 0.0 < phi < math.pi:

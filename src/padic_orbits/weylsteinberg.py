@@ -16,6 +16,7 @@ from typing import Optional
 from .exact import (
     QHalfPower,
     _require_prime,
+    abs_p,
     fundamental_discriminant,
     ord_p,
     squarefree_part,
@@ -133,10 +134,10 @@ def delta_abs_gl2(trace: Fraction, det: Fraction, p: int) -> tuple[QHalfPower, G
 
     The discriminant tr^2 - 4 det factors as f^2 * D0 with D0 the fundamental
     discriminant of its square class; the depth is d = ord_p(f) and the
-    reported absolute value is q^-(2d + ord_p D0), the Weyl discriminant of
-    the class normalized to unit determinant.  Inputs whose conductor f has
-    negative valuation (eigenvalues outside the standard lattice setting)
-    are rejected.
+    reported absolute value is |disc|_p = q^-(2d + ord_p D0), the Weyl
+    discriminant of the class normalized to unit determinant.  Inputs whose
+    conductor f has negative valuation (eigenvalues outside the standard
+    lattice setting) are rejected.
     """
     _require_prime(p)
     trace, det = Fraction(trace), Fraction(det)
@@ -158,21 +159,56 @@ def delta_abs_gl2(trace: Fraction, det: Fraction, p: int) -> tuple[QHalfPower, G
     d_gamma //= 2
     if d_gamma < 0:
         raise ValueError("inconsistent valuation data: negative depth")
-    ord_delta0 = ord_p(delta0, p) if delta0 != 1 else 0
-    abs_D = QHalfPower(Fraction(1), -2 * (2 * d_gamma + ord_delta0), p)
-    return abs_D, Gl2OrbitClass(kind, d_gamma, p)
+    return abs_p(disc, p), Gl2OrbitClass(kind, d_gamma, p)
 
 
 # --------------------------------------------------------------------------
 # Rank-1 and rank-2 invariant coordinate maps
 
 
-def steinberg_sl2(t: Fraction) -> Fraction:
-    """Trace coordinate of diag(t, 1/t); the regular locus is a != +-2."""
-    t = Fraction(t)
+_ONE = Fraction(1)  # 1/t stays exact for int t
+
+
+class _Dual:
+    """Dual numbers a + b eps with eps^2 = 0: exact forward derivatives.
+
+    The parts are kept as given (int or Fraction), so a map written with
+    +, * and 1/x evaluates to its value and derivative in one pass.
+    """
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+
+    def __add__(self, o):
+        if isinstance(o, _Dual):
+            return _Dual(self.a + o.a, self.b + o.b)
+        return _Dual(self.a + o, self.b)
+
+    __radd__ = __add__
+
+    def __mul__(self, o):
+        if isinstance(o, _Dual):
+            return _Dual(self.a * o.a, self.a * o.b + self.b * o.a)
+        return _Dual(self.a * o, self.b * o)
+
+    __rmul__ = __mul__
+
+    def __rtruediv__(self, o):
+        """o / self for a rational o: the derivative of o/x is -o x'/x^2."""
+        r = o / self.a
+        return _Dual(r, -self.b * r / self.a)
+
+
+def steinberg_sl2(t):
+    """Trace coordinate t + 1/t of diag(t, 1/t); the regular locus is a != +-2.
+
+    Exact for int and Fraction t; a ``_Dual`` t also carries the derivative.
+    """
     if t == 0:
         raise ValueError("t must be nonzero")
-    return t + 1 / t
+    return t + _ONE / t
 
 
 def sl2_jacobian(t: Fraction) -> Fraction:
@@ -183,20 +219,14 @@ def sl2_jacobian(t: Fraction) -> Fraction:
     return 1 - t ** -2
 
 
-def chevalley_sl2_lie(x: Fraction, y: Fraction, z: Fraction) -> Fraction:
-    """Invariant coordinate det [[z/2, x], [y, -z/2]] = -z^2/4 - x y."""
-    x, y, z = Fraction(x), Fraction(y), Fraction(z)
-    return -z * z / 4 - x * y
+def steinberg_sp4(t1, t2):
+    """Invariant coordinates (a, b) of diag(t1, t2, 1/t1, 1/t2) in Sp4.
 
-
-def steinberg_sp4(t1: Fraction, t2: Fraction) -> tuple[Fraction, Fraction]:
-    """Invariant coordinates (a, b) of diag(t1, t2, 1/t1, 1/t2) in Sp4."""
-    t1, t2 = Fraction(t1), Fraction(t2)
-    if t1 == 0 or t2 == 0:
-        raise ValueError("torus coordinates must be nonzero")
-    a = t1 + t2 + 1 / t1 + 1 / t2
-    b = t1 * t2 + t2 / t1 + t1 / t2 + 1 / (t1 * t2) + 2
-    return a, b
+    The characteristic polynomial is (X^2 - s1 X + 1)(X^2 - s2 X + 1) with
+    s_i = t_i + 1/t_i, so (a, b) = (s1 + s2, s1 s2 + 2).
+    """
+    s1, s2 = steinberg_sl2(t1), steinberg_sl2(t2)
+    return s1 + s2, s1 * s2 + 2
 
 
 def sp4_jacobian(t1: Fraction, t2: Fraction) -> Fraction:
@@ -205,15 +235,6 @@ def sp4_jacobian(t1: Fraction, t2: Fraction) -> Fraction:
     if t1 == 0 or t2 == 0:
         raise ValueError("torus coordinates must be nonzero")
     return (1 - t1 ** -2) * (1 - t2 ** -2) * (1 - 1 / (t1 * t2)) * (t1 - t2)
-
-
-def _sp4_jacobian_from_partials(t1: Fraction, t2: Fraction) -> Fraction:
-    # Hand-derived partial derivatives of (a, b); no symbolic engine.
-    da_dt1 = 1 - t1 ** -2
-    da_dt2 = 1 - t2 ** -2
-    db_dt1 = t2 - t2 / t1 ** 2 + 1 / t2 - 1 / (t1 ** 2 * t2)
-    db_dt2 = t1 - t1 / t2 ** 2 + 1 / t1 - 1 / (t1 * t2 ** 2)
-    return da_dt1 * db_dt2 - da_dt2 * db_dt1
 
 
 @dataclass(frozen=True)
@@ -230,8 +251,8 @@ class Sp4IdentityCheck:
 def sp4_identity_check(t1: Fraction, t2: Fraction) -> Sp4IdentityCheck:
     """Exact Jacobian and volume-form identities at a regular point of Sp4.
 
-    Verifies (i) the determinant of the hand-derived partials equals the
-    closed-form Jacobian, and (ii) the coefficient identity
+    Verifies (i) the Jacobian of ``steinberg_sp4``, differentiated with dual
+    numbers, equals the closed form, and (ii) the coefficient identity
     1/(t1 t2) = (+-) rho * Jac / prod_{alpha > 0} (1 - alpha), which is the
     coefficientwise form of omega_T = (+-) Delta(gamma) da ^ db.  The sign
     depends on coordinate ordering and is reported, not fixed.
@@ -241,7 +262,10 @@ def sp4_identity_check(t1: Fraction, t2: Fraction) -> Sp4IdentityCheck:
     pos_product = (1 - t1 / t2) * (1 - t1 * t2) * (1 - t1 * t1) * (1 - t2 * t2)
     if jac == 0 or pos_product == 0:
         raise ValueError("degenerate torus element: identity check needs a regular point")
-    jac_ok = jac == _sp4_jacobian_from_partials(t1, t2)
+    # One dual pass per variable gives a column of d(a, b)/d(t1, t2).
+    a1, b1 = steinberg_sp4(_Dual(t1, 1), t2)
+    a2, b2 = steinberg_sp4(t1, _Dual(t2, 1))
+    jac_ok = jac == a1.b * b2.b - a2.b * b1.b
     rho = t1 * t1 * t2
     rhs = rho * jac / pos_product
     lhs = 1 / (t1 * t2)
@@ -250,24 +274,3 @@ def sp4_identity_check(t1: Fraction, t2: Fraction) -> Sp4IdentityCheck:
     if lhs == -rhs:
         return Sp4IdentityCheck(jac_ok, True, -1)
     return Sp4IdentityCheck(jac_ok, False, 0)
-
-
-def gsp_charpoly_factor(n: int, det_gamma: Fraction, D_abs: QHalfPower, p: int) -> QHalfPower:
-    """The scaling |D|^(1/2) |det|^(-(n+1)/4) of the char-poly normalization.
-
-    Defined only when the exponent lands in the half-integer lattice of the
-    scalar algebra; otherwise raises (e.g. n = 2 with odd det valuation).
-    """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    _require_prime(p)
-    if D_abs.q != p:
-        raise ValueError("D_abs is relative to a different residue cardinality")
-    det_gamma = Fraction(det_gamma)
-    if det_gamma == 0:
-        raise ValueError("determinant must be nonzero")
-    t = ord_p(det_gamma, p)
-    if ((n + 1) * t) % 2 != 0:
-        raise ValueError("value outside Q(sqrt q) scalar algebra: quarter-integral exponent")
-    det_factor = QHalfPower(Fraction(1), (n + 1) * t // 2, p)
-    return D_abs.sqrt() * det_factor

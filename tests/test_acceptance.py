@@ -136,7 +136,21 @@ def _failure_cases():
         (acceptance.criterion_9_jacobians, _doubled(weylsteinberg, "sl2_jacobian"),
          r"FAIL rank-1 derivative at t=-?\d+(/\d+)?$"),
     ]
-    return [pytest.param(*case, id=case[0].__name__) for case in cases]
+
+    def wrong_sp4(t1, t2):
+        s1, s2 = weylsteinberg.steinberg_sl2(t1), weylsteinberg.steinberg_sl2(t2)
+        return s1 + s2, s1 * s2 + s1
+
+    # Criterion 9 differentiates the maps themselves, so a wrong map fails it.
+    maps = [
+        ("steinberg_sl2", _doubled(weylsteinberg, "steinberg_sl2"),
+         r"FAIL rank-1 derivative at t=-?\d+(/\d+)?$"),
+        ("steinberg_sp4", (weylsteinberg, "steinberg_sp4", wrong_sp4),
+         r"FAIL rank-2 identity at \(-?\d+(/\d+)?, -?\d+(/\d+)?\)$"),
+    ]
+    return ([pytest.param(*case, id=case[0].__name__) for case in cases]
+            + [pytest.param(acceptance.criterion_9_jacobians, patch, pattern,
+                            id=f"criterion_9_jacobians-{name}") for name, patch, pattern in maps])
 
 
 @pytest.mark.parametrize("criterion, patch, fail_pattern", _failure_cases())

@@ -122,6 +122,18 @@ def test_qhalf_equality_absorbs_even_exponents():
     assert hash(qhalf(1, 3, -4)) == hash(qhalf(Fraction(1, 9), 3, 0))
 
 
+def test_qhalf_hashes_as_the_rational_it_equals():
+    # A value with no odd power of sqrt(q) equals its rational, so sets and
+    # dicts must treat the two as one key.
+    assert qhalf(3, 5) == 3
+    assert len({qhalf(3, 5), 3}) == 1
+    assert {qhalf(3, 5): 1}.get(3) == 1
+    assert qhalf(Fraction(1, 2), 5, 2) == Fraction(5, 2)
+    assert hash(qhalf(Fraction(1, 2), 5, 2)) == hash(Fraction(5, 2))
+    assert {Fraction(5, 2): 1}.get(qhalf(Fraction(1, 2), 5, 2)) == 1
+    assert len({qhalf_zero(7), QHalfPower(Fraction(0), 3, 7), 0, Fraction(0)}) == 1
+
+
 def test_qhalf_zero_is_canonical():
     z = QHalfPower(Fraction(0), 7, 5)
     assert z.half_exp == 0 and z == qhalf_zero(5)

@@ -4,7 +4,6 @@ import pytest
 
 from padic_orbits.exact import qhalf
 from padic_orbits.gl2local import (
-    building_fixed_points,
     class_from_letter,
     conversion_factor,
     dgbar_scale,
@@ -27,11 +26,6 @@ def test_canonical_examples():
     assert orbital_canonical_f0(cls(U, 0, 7)) == 1
     assert orbital_canonical_f0(cls(H, 2, 3)) == 9
     assert orbital_canonical_f0(cls(R, 1, 3)) == 4
-
-
-def test_building_fixed_points_doubles_ramified():
-    assert building_fixed_points(cls(R, 1, 3)) == 8
-    assert building_fixed_points(cls(U, 1, 3)) == orbital_canonical_f0(cls(U, 1, 3))
 
 
 def test_geometric_examples():

@@ -9,7 +9,6 @@ from padic_orbits.kirillov import (
     sl2_conversion_report,
     sphere_density_spherical,
     sphere_form,
-    sphere_frame_contraction,
 )
 
 
@@ -61,7 +60,6 @@ def test_sphere_rotational_invariance():
         x, y = r * math.cos(phi), r * math.sin(phi)
         f1, f2, f3 = sphere_form(x, y, z)
         assert abs(f1 * f1 + f2 * f2 + f3 * f3 - 4.0) < 1e-12
-        assert abs(sphere_frame_contraction(x, y, z) - 2.0) < 1e-10
 
 
 def test_sphere_density():

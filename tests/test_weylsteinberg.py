@@ -10,9 +10,8 @@ from padic_orbits.weylsteinberg import (
     GroupKind,
     OrbitKind,
     SpectralData,
-    chevalley_sl2_lie,
+    _Dual,
     delta_abs_gl2,
-    gsp_charpoly_factor,
     sl2_jacobian,
     sp4_identity_check,
     sp4_jacobian,
@@ -256,7 +255,8 @@ def test_steinberg_sl2():
     assert steinberg_sl2(F(1)) == 2
     with pytest.raises(ValueError):
         steinberg_sl2(F(0))
-    assert chevalley_sl2_lie(F(1), F(-1), F(0)) == 1
+    # int input stays exact: a Fraction, never a float
+    assert type(steinberg_sl2(2)) is Fraction and steinberg_sl2(2) == F(5, 2)
 
 
 def test_sl2_jacobian():
@@ -268,6 +268,22 @@ def test_steinberg_sp4_values():
     a, b = steinberg_sp4(F(2), F(3))
     assert a == F(35, 6)
     assert b == F(6) + F(3, 2) + F(2, 3) + F(1, 6) + 2 == F(31, 3)
+    coords = steinberg_sp4(2, 3)
+    assert coords == (F(35, 6), F(31, 3)) and all(type(c) is Fraction for c in coords)
+    for t1, t2 in ((0, 3), (F(2), F(0))):
+        with pytest.raises(ValueError):
+            steinberg_sp4(t1, t2)
+
+
+@given(t1=_small_nonzero, t2=_small_nonzero)
+def test_dual_derivatives_of_the_maps_match_the_closed_forms(t1, t2):
+    # One dual pass per variable differentiates the maps themselves; the
+    # closed-form Jacobians are derived by hand, independently.
+    assert steinberg_sl2(_Dual(t1, 1)).b == sl2_jacobian(t1)
+    a1, b1 = steinberg_sp4(_Dual(t1, 1), t2)
+    a2, b2 = steinberg_sp4(t1, _Dual(t2, 1))
+    assert (a1.a, b1.a) == (a2.a, b2.a) == steinberg_sp4(t1, t2)
+    assert a1.b * b2.b - a2.b * b1.b == sp4_jacobian(t1, t2)
 
 
 def test_sp4_jacobian_degenerate_values():
@@ -282,10 +298,3 @@ def test_sp4_identity_check():
         sp4_identity_check(F(2), F(2))
     with pytest.raises(ValueError, match="degenerate"):
         sp4_identity_check(F(1), F(2))
-
-
-def test_gsp_charpoly_factor():
-    assert gsp_charpoly_factor(1, F(1), qhalf(1, 3, -4), 3) == qhalf(1, 3, -2)
-    assert gsp_charpoly_factor(3, F(5), qhalf(1, 5, -4), 5) == qhalf(1, 5, 0)
-    with pytest.raises(ValueError, match="quarter"):
-        gsp_charpoly_factor(2, F(5), qhalf(1, 5, -4), 5)
