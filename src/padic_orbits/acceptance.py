@@ -265,22 +265,29 @@ def criterion_6_global() -> CriterionResult:
 
 
 def criterion_7_trace_formula() -> CriterionResult:
-    """Trace formula equals the power-series oracle; vanishing and dimensions."""
+    """Trace formula equals the power-series oracle; vanishing and dimensions.
+
+    The checks are grouped by n: one ``hecke_traces`` call per n evaluates
+    every weight checked at that n against one Hurwitz row, 50 rows in all.
+    """
     t0 = time.perf_counter()
     failures = []
-    for k in (12, 16, 18, 20, 22, 26):
-        coeffs = es.eigenform_coeffs(k, 50)
-        for n in range(1, 51):
-            if es.trace_formula(k, n).trace != coeffs[n - 1]:
+    oracle = {k: es.eigenform_coeffs(k, 50) for k in (12, 16, 18, 20, 22, 26)}
+    vanishing = (4, 6, 8, 10, 14)
+    dimensions = range(4, 41, 2)
+    t12 = {}
+    for n in range(1, 51):
+        weights = dimensions if n == 1 else (*oracle, *vanishing) if n <= 30 else oracle
+        traces = es.hecke_traces(n, weights)
+        for k, coeffs in oracle.items():
+            if traces[k].trace != coeffs[n - 1]:
                 failures.append(f"FAIL oracle at k={k}, n={n}")
-    for k in (4, 6, 8, 10, 14):
-        for n in range(1, 31):
-            if es.trace_formula(k, n).trace != 0:
-                failures.append(f"FAIL vanishing at k={k}, n={n}")
-    for k in range(4, 41, 2):
-        if es.trace_formula(k, 1).trace != es.dim_cusp_forms(k):
-            failures.append(f"FAIL dimension at k={k}")
-    t12 = {n: es.trace_formula(12, n).trace for n in (2, 3, 6)}
+        if n <= 30:
+            failures += [f"FAIL vanishing at k={k}, n={n}" for k in vanishing if traces[k].trace]
+        if n == 1:
+            failures += [f"FAIL dimension at k={k}" for k in dimensions
+                         if traces[k].trace != es.dim_cusp_forms(k)]
+        t12[n] = traces[12].trace
     if t12[6] != t12[2] * t12[3]:
         failures.append("FAIL multiplicativity tau(6) != tau(2) tau(3)")
     return _result("trace-formula", "trace formula vs eta/Eisenstein oracle", t0,

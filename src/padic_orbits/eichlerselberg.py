@@ -2,19 +2,24 @@
 
 The trace of the n-th Hecke operator on weight-k level-one cusp forms is
 assembled from an identity term, a class-number-weighted elliptic sum, and a
-divisor (hyperbolic) sum.  The elliptic sum reads all its Hurwitz class
-numbers from one row, ``quadglobal.hurwitz6_row(n)``, in O(n) work.  The
-oracle side expands the weight-12 cusp form as an eta product, eta^24 as
-three squarings of eta^3, and the one-dimensional spaces as its products
-with the weight-4 and weight-6 Eisenstein series, all in exact integer
-arithmetic.
+divisor (hyperbolic) sum.  The elliptic sum depends on n only through the
+Hurwitz class numbers, which it reads from one row,
+``quadglobal.hurwitz6_row(n)``, in O(n) work; the weight enters only through
+U_{k-2}(t, n).  ``hecke_traces`` evaluates every requested weight at one n
+against one row and one run of the U recurrence per t.  The oracle side
+expands the weight-12 cusp form as an eta product, eta^24 as three squarings
+of eta^3, and the one-dimensional spaces as its products with the weight-4
+and weight-6 Eisenstein series, all in exact integer arithmetic.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import isqrt
+from operator import mul
 
 from .exact import frac_to_json
 from .quadglobal import hurwitz6_row
@@ -24,20 +29,27 @@ _SERIES_CAP = 10 ** 4
 _TRACE_CAP = 10 ** 5
 
 
-def gegenbauer_like(t: int, n: int, j: int) -> int:
-    """U_j with U_0 = 1, U_1 = t, U_j = t U_{j-1} - n U_{j-2}.
+def gegenbauer_like(t: int, n: int, js: Sequence[int]) -> list[int]:
+    """[U_j for j in js], with U_0 = 1, U_1 = t, U_j = t U_{j-1} - n U_{j-2}.
 
-    Equals (rho^(j+1) - rhobar^(j+1)) / (rho - rhobar) for the roots of
-    X^2 - t X + n.
+    U_j equals (rho^(j+1) - rhobar^(j+1)) / (rho - rhobar) for the roots of
+    X^2 - t X + n.  The trace formula asks only for even j = k - 2, and two
+    steps of the recurrence compose to one on the even indices,
+    U_{j+2} = (t^2 - 2n) U_j - n^2 U_{j-2}, so one run from U_0 visits j/2
+    values.  The indices must be even, nonnegative and nondecreasing: the
+    run goes up to max(js) and stops at each of them in turn.
     """
-    if j < 0:
-        raise ValueError("index must be nonnegative")
-    if j == 0:
-        return 1
-    a, b = 1, t
-    for _ in range(j - 1):
-        a, b = b, t * b - n * a
-    return b
+    c, d = t * t - 2 * n, n * n
+    out = []
+    i, a, b = 0, -n, 1   # i, n^2 U_(i-2), U_i, with U_(-2) = -1/n
+    for j in js:
+        if j < i or j % 2:
+            raise ValueError("indices must be even, nonnegative and nondecreasing")
+        for _ in range((j - i) // 2):
+            a, b = d * b, c * b - a
+        out.append(b)
+        i = j
+    return out
 
 
 @dataclass(frozen=True)
@@ -62,6 +74,17 @@ class TraceTerms:
         }
 
 
+def hecke_traces(n: int, weights: Iterable[int]) -> dict[int, TraceTerms]:
+    """Exact traces of T_n on level-one cusp forms of every weight in weights.
+
+    Each weight k must be even and >= 4; the result maps k to its
+    ``TraceTerms``, as ``trace_formula(k, n)`` gives them.  The Hurwitz row
+    of n is built once for all weights, and for each t one run of the U
+    recurrence up to max(k) - 2 gives U_{k-2}(t, n) at every weight.
+    """
+    return _hecke_traces(n, weights)
+
+
 def trace_formula(k: int, n: int) -> TraceTerms:
     """Exact trace of T_n on weight-k level-one cusp forms, k even >= 4.
 
@@ -70,10 +93,10 @@ def trace_formula(k: int, n: int) -> TraceTerms:
     weighting U_{k-2}(t, n) by the Hurwitz class number H(4n - t^2), the
     weighted class numbers of the orders containing the root of
     X^2 - t X + n.  All of 6H(4n - t^2), t >= 0, come from one O(n) sweep,
-    ``hurwitz6_row(n)``.  For even k both factors are even in t, so t = 0 is
-    summed once and each t > 0 twice.  The hyperbolic sum of
-    min(d, n/d)^(k-1) over the divisors d of n pairs d with n/d, so it walks
-    d <= sqrt(n) only.
+    ``hurwitz6_row(n)``, which does not depend on k.  For even k both
+    factors are even in t, so t = 0 is summed once and each t > 0 twice.
+    The hyperbolic sum of min(d, n/d)^(k-1) over the divisors d of n pairs d
+    with n/d, so it walks d <= sqrt(n) only.
 
     Everything is accumulated as one integer,
 
@@ -83,9 +106,17 @@ def trace_formula(k: int, n: int) -> TraceTerms:
     and the trace is its quotient by 12.  A nonzero remainder is a hard
     error: it would mean a corrupted constant somewhere.  The four reported
     terms are then each one Fraction of integers over 12, 12 n^(k/2 - 1) or
-    2 n^(k/2 - 1).
+    2 n^(k/2 - 1).  This is the single-weight case of ``hecke_traces``,
+    which shares the row of n among several weights.
     """
-    if k % 2 or k < 4:
+    return _hecke_traces(n, (k,))[k]
+
+
+def _hecke_traces(n: int, weights: Iterable[int]) -> dict[int, TraceTerms]:
+    # The body of hecke_traces and trace_formula; neither public function
+    # calls the other, so a traced run sees each request once.
+    ks = sorted(set(weights))
+    if not ks or ks[0] < 4 or any(k % 2 for k in ks):
         raise ValueError("weight must be an even integer >= 4")
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -95,27 +126,33 @@ def trace_formula(k: int, n: int) -> TraceTerms:
         )
     root = isqrt(n)
     square = root * root == n
-    power = n ** (k // 2 - 1)
-    elliptic_6 = 0
-    for t, h6 in enumerate(hurwitz6_row(n)):
-        term = gegenbauer_like(t, n, k - 2) * h6
-        elliptic_6 += term if t == 0 else 2 * term
-    divisor_sum = sum(2 * d ** (k - 1) for d in range(1, root + 1) if n % d == 0)
-    if square:
-        divisor_sum -= root ** (k - 1)
-    trace_12 = ((k - 1) * power if square else 0) - elliptic_6 - 6 * divisor_sum
-    trace, rem = divmod(trace_12, 12)
-    if rem:
-        raise ArithmeticError(
-            f"trace formula integrality violated at k={k}, n={n}: {Fraction(trace_12, 12)}")
-    return TraceTerms(
-        k, n,
-        Fraction(k - 1, 12) if square else Fraction(0),
-        Fraction(-elliptic_6, 12 * power),
-        Fraction(-divisor_sum, 2 * power),
-        Fraction(trace, power),
-        trace,
-    )
+    divisors = [d for d in range(1, root + 1) if n % d == 0]
+    row = hurwitz6_row(n)
+    # U_{k-2}(t, n) at every weight, one list per t of the row.  It is built
+    # as a list: on CPython 3.11, zip(*map(...)) fed to sum(map(mul, ...))
+    # kept one memory block per call alive, and the process grew with use.
+    us_by_t = list(map(gegenbauer_like, range(len(row)), repeat(n), repeat([k - 2 for k in ks])))
+    out = {}
+    for k, us in zip(ks, zip(*us_by_t)):
+        power = n ** (k // 2 - 1)
+        elliptic_6 = 2 * sum(map(mul, us, row)) - us[0] * row[0]   # t = 0 once
+        divisor_sum = sum(2 * d ** (k - 1) for d in divisors)
+        if square:
+            divisor_sum -= root ** (k - 1)
+        trace_12 = ((k - 1) * power if square else 0) - elliptic_6 - 6 * divisor_sum
+        trace, rem = divmod(trace_12, 12)
+        if rem:
+            raise ArithmeticError(
+                f"trace formula integrality violated at k={k}, n={n}: {Fraction(trace_12, 12)}")
+        out[k] = TraceTerms(
+            k, n,
+            Fraction(k - 1, 12) if square else Fraction(0),
+            Fraction(-elliptic_6, 12 * power),
+            Fraction(-divisor_sum, 2 * power),
+            Fraction(trace, power),
+            trace,
+        )
+    return out
 
 
 def dim_cusp_forms(k: int) -> int:

@@ -143,13 +143,15 @@ def ord_p(x: RationalLike, p: int) -> int:
     if x == 0:
         raise ValueError("valuation of zero undefined")
     n, d = (x, 1) if isinstance(x, int) else (x.numerator, x.denominator)
+    return _ord(n, p) - _ord(d, p)
+
+
+def _ord(n: int, p: int) -> int:
+    """ord_p of a nonzero integer, for a p already checked to be prime."""
     v = 0
     while n % p == 0:
         n //= p
         v += 1
-    while d % p == 0:
-        d //= p
-        v -= 1
     return v
 
 
@@ -160,7 +162,10 @@ class QHalfPower:
     The canonical zero has coeff = 0 and half_exp = 0.  Values whose
     half-exponents differ by an odd amount are never equal (for prime q,
     sqrt(q) is irrational), and adding them is rejected rather than
-    approximated.
+    approximated.  A value with no odd power of sqrt(q) equals its rational,
+    and so equals such a value at any other q; values with an odd power are
+    equal only at the same q.  Equality is therefore an equivalence, and
+    ``__hash__`` agrees with it.
     """
 
     coeff: Fraction
@@ -197,7 +202,10 @@ class QHalfPower:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._key() == other._key()  # the key ends with q
+        # With no odd power of sqrt(q) left the value is the rational c,
+        # whatever q is; odd half-powers are equal only at the same q.
+        c, parity, q = self._key()
+        return (c, parity) == other._key()[:2] and (not parity or q == other.q)
 
     def __hash__(self):
         c, parity, q = self._key()

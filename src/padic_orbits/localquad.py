@@ -19,12 +19,11 @@ from typing import Optional
 
 from .exact import (
     QHalfPower,
+    _ord,
     _require_prime,
     frac_to_json,
     fundamental_discriminant,
-    is_fundamental_discriminant,
     is_squarefree,
-    ord_p,
 )
 
 
@@ -88,6 +87,11 @@ def classify_quad(d: int, p: int) -> LocalQuadType:
     _require_prime(p)
     if d in (0, 1) or not is_squarefree(d):
         raise ValueError(f"d = {d} must be squarefree and != 0, 1")
+    return _classify(d, p)
+
+
+def _classify(d: int, p: int) -> LocalQuadType:
+    # classify_quad for a d and p already checked
     if p == 2:
         r = d % 8
         if r == 1:
@@ -99,14 +103,6 @@ def classify_quad(d: int, p: int) -> LocalQuadType:
     if d % p == 0:
         return LocalQuadType(QuadKind.RAMIFIED)
     return LocalQuadType(QuadKind.SPLIT if kronecker_symbol(d, p) == 1 else QuadKind.UNRAMIFIED)
-
-
-def chi_at_p(disc: int, p: int) -> int:
-    """Quadratic character value at p: +1 split, -1 inert, 0 ramified."""
-    _require_prime(p)
-    if not is_fundamental_discriminant(disc):
-        raise ValueError(f"{disc} is not a fundamental discriminant")
-    return kronecker_symbol(disc, p)
 
 
 def artin_L_at_1(t: LocalQuadType, q: int) -> Fraction:
@@ -167,24 +163,28 @@ def res_torus_volume(t: LocalQuadType, p: int) -> TorusVolumeReport:
     (p - 1)^2 / p^2, and (1 - 1/p)(1 + 1/p) is (p^2 - 1) / p^2.
     """
     _require_prime(p)
-    if t.kind is QuadKind.SPLIT:
-        vol = QHalfPower(Fraction((p - 1) ** 2, p * p), 0, p)
-    elif t.kind is QuadKind.UNRAMIFIED:
-        vol = QHalfPower(Fraction(p * p - 1, p * p), 0, p)
-    elif p != 2:
-        vol = QHalfPower(Fraction(p - 1, p), -1, p)
-    elif t.p2_detail is None:
-        raise ValueError("ramified type at p = 2 needs its p2_detail subcase")
-    elif t.p2_detail is P2Detail.TWICE_UNIT:
-        # |2 sqrt(d)| = (1/2) q^(-1/2)
-        vol = QHalfPower(Fraction(p - 1, 2 * p), -1, p)
-    else:
-        # d is a unit: |2 sqrt(d)| = 1/2 and no half power survives
-        vol = QHalfPower(Fraction(p - 1, 2 * p), 0, p)
+    vol = _unit_group_volume(t, p)
     L = artin_L_at_1(t, p)
     index = 1  # the standard model of the unit-group torus is its Neron model
     unverified = p == 2 and t.kind is QuadKind.RAMIFIED
     return TorusVolumeReport(t, vol, L, Fraction(L.denominator, L.numerator), index, unverified)
+
+
+def _unit_group_volume(t: LocalQuadType, p: int) -> QHalfPower:
+    # vol_omega(T^c) of res_torus_volume, for a p already checked
+    if t.kind is QuadKind.SPLIT:
+        return QHalfPower(Fraction((p - 1) ** 2, p * p), 0, p)
+    if t.kind is QuadKind.UNRAMIFIED:
+        return QHalfPower(Fraction(p * p - 1, p * p), 0, p)
+    if p != 2:
+        return QHalfPower(Fraction(p - 1, p), -1, p)
+    if t.p2_detail is None:
+        raise ValueError("ramified type at p = 2 needs its p2_detail subcase")
+    if t.p2_detail is P2Detail.TWICE_UNIT:
+        # |2 sqrt(d)| = (1/2) q^(-1/2)
+        return QHalfPower(Fraction(p - 1, 2 * p), -1, p)
+    # d is a unit: |2 sqrt(d)| = 1/2 and no half power survives
+    return QHalfPower(Fraction(p - 1, 2 * p), 0, p)
 
 
 def norm1_volume(t: LocalQuadType, p: int) -> QHalfPower:
@@ -238,13 +238,16 @@ def classnum_local_check(d: int, p: int) -> bool:
 
     The right side is one scalar: the coefficient (1 - 1/p)(1 - chi(p)/p) is
     the Fraction (p - 1)(p - chi(p)) / p^2, and |Delta|_p^(1/2) is the
-    half-exponent -ord_p(Delta).
+    half-exponent -ord_p(Delta).  d is tested for squarefreeness once, by
+    ``fundamental_discriminant``, and p for primality once; chi(p) is then
+    the Kronecker symbol (Delta/p) of that discriminant, and the closed form
+    and the valuation are read without checking either again.
     """
-    if d >= 0 or not is_squarefree(d):
+    if d >= 0:
         raise ValueError("d must be a negative squarefree integer")
-    t = classify_quad(d, p)
-    lhs = res_torus_volume(t, p).vol_omega_T_Tc
     disc = fundamental_discriminant(d)
-    chi = chi_at_p(disc, p)
-    rhs = QHalfPower(Fraction((p - 1) * (p - chi), p * p), -ord_p(disc, p), p)
+    _require_prime(p)
+    lhs = _unit_group_volume(_classify(d, p), p)
+    chi = kronecker_symbol(disc, p)
+    rhs = QHalfPower(Fraction((p - 1) * (p - chi), p * p), -_ord(disc, p), p)
     return lhs == rhs

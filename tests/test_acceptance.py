@@ -60,6 +60,16 @@ def test_criterion_7_trace_formula_vs_oracle():
     _report(acceptance.criterion_7_trace_formula(), 60)
 
 
+def test_criterion_7_builds_one_hurwitz_row_per_n(monkeypatch):
+    # 472 (k, n) checks at 50 distinct n: every weight at one n shares a row
+    from padic_orbits import eichlerselberg
+
+    real, calls = eichlerselberg.hurwitz6_row, []
+    monkeypatch.setattr(eichlerselberg, "hurwitz6_row", lambda n: calls.append(n) or real(n))
+    assert acceptance.criterion_7_trace_formula().ok
+    assert sorted(calls) == list(range(1, 51))
+
+
 def test_criterion_8_orbit_form_numerics():
     _report(acceptance.criterion_8_orbit_forms(), 5)
 
@@ -141,6 +151,12 @@ def _failure_cases():
         s1, s2 = weylsteinberg.steinberg_sl2(t1), weylsteinberg.steinberg_sl2(t2)
         return s1 + s2, s1 * s2 + s1
 
+    real_coeffs = eichlerselberg.eigenform_coeffs
+
+    def wrong_coefficient(k, N):
+        coeffs = real_coeffs(k, N)
+        return coeffs[:6] + [coeffs[6] + 1] + coeffs[7:] if k == 16 else coeffs
+
     # Criterion 9 differentiates the maps themselves, so a wrong map fails it.
     maps = [
         ("steinberg_sl2", _doubled(weylsteinberg, "steinberg_sl2"),
@@ -149,6 +165,9 @@ def _failure_cases():
          r"FAIL rank-2 identity at \(-?\d+(/\d+)?, -?\d+(/\d+)?\)$"),
     ]
     return ([pytest.param(*case, id=case[0].__name__) for case in cases]
+            + [pytest.param(acceptance.criterion_7_trace_formula,
+                            (eichlerselberg, "eigenform_coeffs", wrong_coefficient),
+                            r"FAIL oracle at k=16, n=7$", id="criterion_7_trace_formula-oracle")]
             + [pytest.param(acceptance.criterion_9_jacobians, patch, pattern,
                             id=f"criterion_9_jacobians-{name}") for name, patch, pattern in maps])
 

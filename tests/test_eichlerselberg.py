@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from math import isqrt
 
@@ -20,22 +21,39 @@ F = Fraction
 
 
 def test_gegenbauer_examples():
-    assert gegenbauer_like(5, 7, 0) == 1
-    assert gegenbauer_like(0, 1, 10) == -1   # period-4 recurrence
-    assert gegenbauer_like(1, 1, 10) == -1   # period-6 recurrence
+    assert gegenbauer_like(5, 7, [0]) == [1]
+    assert gegenbauer_like(5, 7, [2]) == [18]         # t^2 - n
+    assert gegenbauer_like(0, 1, [10]) == [-1]   # period-4 recurrence
+    assert gegenbauer_like(1, 1, [10]) == [-1]   # period-6 recurrence
+    assert gegenbauer_like(1, 1, [0, 0, 4, 10]) == [1, 1, -1, -1]
+    assert gegenbauer_like(1, 1, []) == []
+
+
+@pytest.mark.parametrize("js", [[-2], [4, 2], [0, 6, 4], [3], [2, 5]])
+def test_gegenbauer_rejects_odd_or_unordered_indices(js):
+    with pytest.raises(ValueError):
+        gegenbauer_like(2, 3, js)
 
 
 def test_gegenbauer_matches_root_form():
-    # U_j(t, n) (rho^(j+1) - rhobar^(j+1)) = rho - rhobar for X^2 - t X + n
+    # U_j(t, n) (rho^(j+1) - rhobar^(j+1)) = rho - rhobar for X^2 - t X + n,
+    # every j read from one run of the recurrence
     import cmath
+    js = (0, 2, 4, 8, 10)
     for t in range(-5, 6):
         for n in (1, 2, 3, 5):
             rho = (t + cmath.sqrt(t * t - 4 * n)) / 2
             bar = (t - cmath.sqrt(t * t - 4 * n)) / 2
-            for j in (0, 1, 2, 5, 8):
-                lhs = gegenbauer_like(t, n, j) * (rho - bar)
+            for j, u in zip(js, gegenbauer_like(t, n, js)):
+                lhs = u * (rho - bar)
                 rhs = rho ** (j + 1) - bar ** (j + 1)
                 assert abs(lhs - rhs) <= 1e-6 * max(1.0, abs(rhs))
+
+
+@given(t=st.integers(-100, 100), n=st.integers(1, 10 ** 5),
+       js=st.lists(st.integers(0, 30).map(lambda m: 2 * m), max_size=6).map(sorted))
+def test_gegenbauer_matches_the_one_step_recurrence(t, n, js):
+    assert gegenbauer_like(t, n, js) == [1 if j == 0 else _u(t, n, j) for j in js]
 
 
 def test_trace_12_1_term_by_term():
@@ -198,16 +216,25 @@ def _trace_terms_reference(k, n):
     return identity, elliptic, hyperbolic, total, trace
 
 
+def _u(t, n, j):
+    # U_j(t, n) by its own recurrence, for j >= 1
+    a, b = 1, t
+    for _ in range(j - 1):
+        a, b = b, t * b - n * a
+    return b
+
+
 def _trace_terms_fraction_chain(k, n):
     # The Fraction-chain assembly trace_formula used before it summed one
-    # integer over 12: the same row and pairing of +-t, every term a Fraction.
+    # integer over 12: the same row and pairing of +-t, every term a Fraction,
+    # one weight at a time.
     root = isqrt(n)
     square = root * root == n
     identity = F(k - 1, 12) if square else F(0)
     scale = F(n) ** (1 - k // 2)
     elliptic_sum_6 = 0
     for t, h6 in enumerate(es.hurwitz6_row(n)):
-        term = gegenbauer_like(t, n, k - 2) * h6
+        term = _u(t, n, k - 2) * h6
         elliptic_sum_6 += term if t == 0 else 2 * term
     elliptic = -scale * F(elliptic_sum_6, 12)
     divisor_sum = sum(2 * d ** (k - 1) for d in range(1, root + 1) if n % d == 0)
@@ -227,6 +254,38 @@ def test_trace_formula_matches_fraction_chain(k, n):
     assert tt.rhs_total == tt.identity_term + tt.elliptic_term + tt.hyperbolic_term
     assert tt.rhs_total * F(n) ** (k // 2 - 1) == tt.trace
     assert tt.to_json() == _trace_terms_fraction_chain(k, n).to_json()
+
+
+@given(n=st.integers(1, 2000),
+       ks=st.sets(st.integers(2, 30).map(lambda j: 2 * j), min_size=1, max_size=8))
+def test_hecke_traces_match_fraction_chain(n, ks):
+    traces = es.hecke_traces(n, ks)
+    assert sorted(traces) == sorted(ks)
+    for k in ks:
+        assert traces[k].to_json() == _trace_terms_fraction_chain(k, n).to_json(), k
+
+
+def test_hecke_traces_build_one_row(monkeypatch):
+    real, calls = es.hurwitz6_row, []
+    monkeypatch.setattr(es, "hurwitz6_row", lambda n: calls.append(n) or real(n))
+    traces = es.hecke_traces(12, [26, 4, 12, 12])
+    assert calls == [12] and sorted(traces) == [4, 12, 26]
+    assert traces[12] == trace_formula(12, 12)
+
+
+def test_hecke_traces_hold_no_memory_between_calls():
+    # A lazy zip(*map(...)) here once kept one block alive per call.
+    es.hecke_traces(30, (12, 16))
+    before = sys.getallocatedblocks()
+    for _ in range(2000):
+        es.hecke_traces(30, (12, 16))
+    assert sys.getallocatedblocks() - before < 500
+
+
+@pytest.mark.parametrize("weights", [[], [12, 13], [2, 12], [12, 0]])
+def test_hecke_traces_reject_bad_weights(weights):
+    with pytest.raises(ValueError):
+        es.hecke_traces(5, weights)
 
 
 def test_hurwitz_reference_values():

@@ -134,6 +134,16 @@ def test_qhalf_hashes_as_the_rational_it_equals():
     assert len({qhalf_zero(7), QHalfPower(Fraction(0), 3, 7), 0, Fraction(0)}) == 1
 
 
+def test_qhalf_equality_is_an_equivalence():
+    # Rational values compare as rationals whatever q is, so a set holds one
+    # element in either insertion order; odd half-powers need the same q.
+    assert len({qhalf(3, 5), qhalf(3, 7), 3}) == len({3, qhalf(3, 5), qhalf(3, 7)}) == 1
+    assert qhalf(3, 5) == qhalf(3, 7) and qhalf(3, 5, 2) == qhalf(15, 7)
+    assert qhalf(3, 5, 1) != qhalf(3, 7, 1)
+    assert qhalf(3, 5, 1) == qhalf(3, 5, 1)
+    assert qhalf_zero(5) == qhalf_zero(7) == 0
+
+
 def test_qhalf_zero_is_canonical():
     z = QHalfPower(Fraction(0), 7, 5)
     assert z.half_exp == 0 and z == qhalf_zero(5)

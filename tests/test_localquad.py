@@ -2,12 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from padic_orbits.exact import is_prime, is_squarefree, qhalf
+from padic_orbits.exact import fundamental_discriminant, is_prime, is_squarefree, qhalf
 from padic_orbits.localquad import (
     P2Detail,
     QuadKind,
     artin_L_at_1,
-    chi_at_p,
     classify_quad,
     classnum_local_check,
     kronecker_symbol,
@@ -38,19 +37,18 @@ def test_classify_rejects_bad_d():
 
 
 def test_chi_examples():
-    assert chi_at_p(-4, 5) == 1
-    assert chi_at_p(-4, 2) == 0
-    assert chi_at_p(-23, 2) == 1
-    with pytest.raises(ValueError):
-        chi_at_p(-9, 5)
+    # chi(p) of a fundamental discriminant is the Kronecker symbol (disc/p)
+    assert kronecker_symbol(-4, 5) == 1
+    assert kronecker_symbol(-4, 2) == 0
+    assert kronecker_symbol(-23, 2) == 1
 
 
 def test_chi_consistent_with_classification():
     expected = {QuadKind.SPLIT: 1, QuadKind.UNRAMIFIED: -1, QuadKind.RAMIFIED: 0}
     for d in SQUAREFREE:
-        disc = d if d % 4 == 1 else 4 * d
+        disc = fundamental_discriminant(d)
         for p in SMALL_PRIMES:
-            assert chi_at_p(disc, p) == expected[classify_quad(d, p).kind], (d, p)
+            assert kronecker_symbol(disc, p) == expected[classify_quad(d, p).kind], (d, p)
 
 
 def test_kronecker_multiplicativity():
@@ -142,6 +140,13 @@ def test_classnum_local_check_examples():
     assert classnum_local_check(-1, 3)
     assert classnum_local_check(-1, 2)
     assert classnum_local_check(-5, 5)
+
+
+@pytest.mark.parametrize("d, p", [(5, 3), (0, 3), (-4, 3), (-12, 5), (-1, 4), (-1, 0), (-1, 1)])
+def test_classnum_local_check_rejects_bad_input(d, p):
+    # d and p are checked once, up front, not by the closed forms it calls
+    with pytest.raises(ValueError):
+        classnum_local_check(d, p)
 
 
 def test_classnum_local_check_small_sweep():
