@@ -190,12 +190,11 @@ def criterion_3_local_cnf() -> CriterionResult:
     t0 = time.perf_counter()
     failures = []
     checked = 0
+    primes = [p for p in range(2, 51) if is_prime(p)]
     for d in range(-1, -51, -1):
         if not is_squarefree(d):
             continue
-        for p in range(2, 51):
-            if not is_prime(p):
-                continue
+        for p in primes:
             checked += 1
             if not classnum_local_check(d, p):
                 failures.append(f"FAIL at d={d}, p={p}")

@@ -2,19 +2,23 @@
 
 Class numbers come from one integer walk over the reduced forms of a
 discriminant, primitive or not, which gives h(D) by counting the primitive
-forms.  The trace formula's Hurwitz class numbers 6 H(4n - t^2), for every
-t with t^2 < 4n at once, come from one O(n) sweep over leading
-coefficients that looks each 4n - t^2 up in a table of b^2 mod 4a and
-weights every reduced form it finds; it shares no code with the walk.
-An a-first scan of leading coefficients recounts h(D) independently and
-shares only the input check with the walk: once the |D| cap has passed,
-it builds one table of the norms (b^2 - D)/4 for 0 <= b <= sqrt(|D|/3),
-b = D (mod 2), and for each a tests a | (b^2 - D)/4 on a prefix of it
-inside filterfalse.  The test sees b^2 only, so one hit counts b and -b
-exactly.  L(1, chi) comes from complete-period partial sums truncated at
-the one constant L_TERMS = 10^6, with a proven tail bound, and the global
-check ties the finite-adelic volume h/w to the archimedean side through
-the local orbital reports.
+forms.  The walk sieves: it factors every norm (b^2 - D)/4 with
+3 b^2 <= |D| at once, by the primes up to sqrt(|D|/3) and the square roots
+of D modulo each, and reads the leading coefficients off the divisors, in
+O(sqrt|D| log log |D|) work.  The trace formula's Hurwitz class numbers
+6 H(4n - t^2), for every t with t^2 < 4n at once, come from one O(n) sweep
+over leading coefficients that looks each 4n - t^2 up in a table of
+b^2 mod 4a and weights every reduced form it finds; it shares no code with
+the walk.  An O(|D|) a-first scan of leading coefficients recounts h(D)
+independently, sets the one |D| cap of 10^8, and shares only the input
+check with the walk: once the |D| cap has passed, it builds one table of
+the norms (b^2 - D)/4 for 0 <= b <= sqrt(|D|/3), b = D (mod 2), and for
+each a tests a | (b^2 - D)/4 on a prefix of it inside filterfalse.  The
+test sees b^2 only, so one hit counts b and -b exactly.  L(1, chi) comes
+from complete-period partial sums truncated at the one constant
+L_TERMS = 10^6, with a proven tail bound, and the global check ties the
+finite-adelic volume h/w to the archimedean side through the local orbital
+reports.
 """
 
 from __future__ import annotations
@@ -39,6 +43,8 @@ from .gl2local import full_report
 from .localquad import kronecker_symbol
 
 
+# The one cap of every class-number entry point.  The walk sieves in
+# O(sqrt|D| log log |D|); the a-first scan is O(|D|), and it sets the cap.
 _DISC_CAP = 10 ** 8
 _ROW_CAP = 10 ** 6
 # Every class number formula check sums chi(n)/n to L_TERMS terms.
@@ -55,29 +61,91 @@ def _check_disc(D: int) -> None:
         )
 
 
+def _sqrt_mod(a: int, p: int) -> int:
+    """A square root of a modulo the odd prime p, for a square a (Tonelli-Shanks).
+
+    For p = 3 (mod 4) it is a^((p+1)/4).  Otherwise write p - 1 = q 2^s with
+    q odd and start from r = a^((q+1)/2) and t = a^q, so that r^2 = a t; each
+    step multiplies r by a power f of c = z^q, z the least non-residue, and t
+    by f^2, which lowers the order of t until t = 1.
+    """
+    a %= p
+    if p % 4 == 3 or a == 0:
+        return pow(a, (p + 1) // 4, p)
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    q = (p - 1) >> s
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        f = pow(c, 1 << (s - i - 1), p)
+        s, c = i, f * f % p
+        t, r = t * c % p, r * f % p
+    return r
+
+
 def _reduced_triples(D: int):
     """Yield (a, b, c) with b >= 0 for every reduced form of discriminant D,
     primitive or not, by middle coefficient b and then leading coefficient a.
 
     A reduced form has 3 b^2 <= 4 a c - b^2 = |D| and b = D mod 2; for each
     such b, the a with b <= a <= sqrt(m) dividing m = (b^2 - D) / 4 give
-    c = m / a >= a.  The divisor test runs inside filterfalse.
+    c = m / a >= a.  The norms m are factored together by a sieve: an odd
+    prime ell divides m_b exactly when b^2 = D (mod ell), so when
+    (D/ell) != -1 its hits are the b = +-sqrt(D) (mod ell), two progressions
+    of step ell (one when ell | D), and each hit lists ell under its b.
+    Only the ell <= sqrt(|D|/3) are sieved: m <= |D|/3, so what they leave
+    of m is 1 or one prime above sqrt(m), which divides no a.  The divisors
+    a <= sqrt(m) are then built from 2 and the listed primes, each taken as
+    often as it divides m.  The work is O(sqrt|D| log log |D|) plus the
+    divisor lists.
     """
     _check_disc(D)
-    b = D % 2
-    while 3 * b * b <= -D:
+    top = isqrt(-D // 3)
+    parity = D % 2
+    bs = range(parity, top + 1, 2)
+    primes = [[] for _ in bs]   # the odd primes of each norm
+    odd = bytearray([1]) * (top + 1)   # odd[ell] for odd ell: ell is prime
+    for p in range(3, isqrt(top) + 1, 2):
+        if odd[p]:
+            odd[p * p::2 * p] = bytes(len(range(p * p, top + 1, 2 * p)))
+    for ell in compress(range(3, top + 1, 2), odd[3::2]):
+        d = D % ell
+        if pow(d, ell >> 1, ell) == ell - 1:   # (D/ell) = -1: no hit
+            continue
+        r = _sqrt_mod(d, ell)
+        half = (ell + 1) >> 1   # 1/2 mod ell: b = parity + 2 i is bs[i]
+        for start in {(r - parity) * half % ell, (-r - parity) * half % ell}:
+            for hit in primes[start::ell]:
+                hit.append(ell)
+    for b, ells in zip(bs, primes):
         m = (b * b - D) // 4
-        for a in filterfalse(m.__mod__, range(max(b, 1), isqrt(m) + 1)):
-            yield a, b, m // a
-        b += 2
+        root = isqrt(m)
+        divisors = [1]
+        for ell in (2, *ells):
+            layer, rest = divisors, m
+            while not rest % ell:
+                rest //= ell
+                layer = [x * ell for x in layer if x * ell <= root]
+                divisors += layer
+        divisors.sort()
+        lo = b or 1
+        for a in divisors:
+            if a >= lo:
+                yield a, b, m // a
 
 
 def class_number(D: int) -> int:
     """Class number of the order of discriminant D < 0: #(primitive reduced forms).
 
-    Counted on the walk without building forms: a primitive triple stands
-    for one form on the boundary (b = 0, b = a or a = c) and for the two
-    forms (a, +-b, c) off it.
+    Counted on the sieved walk without building forms: a primitive triple
+    stands for one form on the boundary (b = 0, b = a or a = c) and for the
+    two forms (a, +-b, c) off it.  |D| <= 10^8, the cap the scan needs.
     """
     return sum(
         1 if b == 0 or b == a or a == c else 2

@@ -24,6 +24,14 @@ def test_readme_example_stdout_is_unchanged(capsys, command):
     assert capsys.readouterr().out == GOLDEN[command]
 
 
+def test_every_golden_is_a_readme_example():
+    # CI runs every README example through the installed console script
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    examples = {line.split("#")[0].split(maxsplit=1)[1].strip()
+                for line in readme.splitlines() if line.startswith("padic-orbits ")}
+    assert set(GOLDEN) <= examples
+
+
 # sha256 of the stdout of ``padic-orbits tau --upto 10000`` (280,608 bytes)
 TAU_10000_SHA256 = "c1da943964ceff9a056ac67ae45a1e75f601dd5240e6f3469e7c78508b974447"
 

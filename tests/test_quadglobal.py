@@ -102,19 +102,62 @@ def test_walk_and_scan_agree_on_random_disc(N):
 
 # Both bins of the benchmark's class-number items, [-4*10^6, -10^6) and
 # [-10^7, -4*10^6), each with one D = 0 and one D = 1 (mod 4).
-@pytest.mark.parametrize("D", [-1000003, -3999996, -4000004, -9999991])
+_LARGE_DISCS = [-1000003, -3999996, -4000004, -9999991]
+
+# Orders f^2 D0 in Q(sqrt -1) and Q(sqrt -3), rich in forms on the boundary
+# (b = 0, b = a or a = c), at h = f prod_{p | f} (1 - (D0/p)/p) / [O_K* : O*].
+_LARGE_ORDERS = [
+    (-4 * 1009 ** 2, 504), (-3 * 577 ** 2, 192), (-3 * 1000 ** 2, 600),
+    (-3 * 999 ** 2, 324), (-4 * 1000 ** 2, 400), (-4 * 999 ** 2, 648),
+]
+
+
+@pytest.mark.parametrize("D", _LARGE_DISCS)
 def test_scan_matches_walk_on_large_disc(D):
     assert class_number_scan(D) == class_number(D)
 
 
-# Orders f^2 D0 in Q(sqrt -1) and Q(sqrt -3), rich in forms on the boundary
-# (b = 0, b = a or a = c), at h = f prod_{p | f} (1 - (D0/p)/p) / [O_K* : O*].
-@pytest.mark.parametrize("D, h", [
-    (-4 * 1009 ** 2, 504), (-3 * 577 ** 2, 192), (-3 * 1000 ** 2, 600),
-    (-3 * 999 ** 2, 324), (-4 * 1000 ** 2, 400), (-4 * 999 ** 2, 648),
-])
+@pytest.mark.parametrize("D, h", _LARGE_ORDERS)
 def test_scan_and_walk_on_large_orders(D, h):
     assert class_number_scan(D) == class_number(D) == h
+
+
+def test_sieved_walk_matches_trial_division():
+    for D in range(-3, -6001, -1):
+        if D % 4 in (0, 1):
+            assert list(qg._reduced_triples(D)) == _trial_division_walk(D), D
+
+
+@pytest.mark.parametrize("D", _LARGE_DISCS + [D for D, _ in _LARGE_ORDERS])
+def test_sieved_walk_matches_trial_division_on_large_disc(D):
+    assert list(qg._reduced_triples(D)) == _trial_division_walk(D)
+
+
+@pytest.mark.parametrize("D, h", [(-99999999, 6976), (-10 ** 8, 2000)])
+def test_walk_at_the_cap(D, h):
+    # both values agree with the trial-division walk and the scan
+    assert -D <= qg._DISC_CAP
+    assert class_number(D) == h
+
+
+def test_sqrt_mod_squares_back():
+    # every odd prime below 3000, the ell = 1 (mod 8) Tonelli steps included
+    odd_primes = [ell for ell in range(3, 3000, 2)
+                  if all(ell % q for q in range(3, math.isqrt(ell) + 1, 2))]
+    for ell in odd_primes:
+        for a in {x * x % ell for x in range(ell)}:
+            r = qg._sqrt_mod(a, ell)
+            assert 0 <= r < ell and r * r % ell == a, (a, ell)
+
+
+def test_scan_and_row_do_not_use_the_sieve(monkeypatch):
+    Ds = (-3, -4, -23, -3 * 577 ** 2)
+    scans = [class_number_scan(D) for D in Ds]
+    rows = [hurwitz6_row(n) for n in (1, 2, 3, 27, 1000)]
+    for name in ("_reduced_triples", "_sqrt_mod"):
+        monkeypatch.setattr(qg, name, _refuse)
+    assert [class_number_scan(D) for D in Ds] == scans == [1, 1, 3, 192]
+    assert [hurwitz6_row(n) for n in (1, 2, 3, 27, 1000)] == rows
 
 
 def test_scan_does_not_walk(monkeypatch):
@@ -379,6 +422,20 @@ def _full_b_scan(D):
                 count += 1
         a += 1
     return count
+
+
+def _trial_division_walk(D):
+    # the walk before the sieve: for each b = D (mod 2) with 3 b^2 <= |D|,
+    # every a with max(b, 1) <= a <= sqrt(m) dividing m = (b^2 - D) / 4
+    triples = []
+    b = D % 2
+    while 3 * b * b <= -D:
+        m = (b * b - D) // 4
+        for a in range(max(b, 1), math.isqrt(m) + 1):
+            if m % a == 0:
+                triples.append((a, b, m // a))
+        b += 2
+    return triples
 
 
 def _weighted_walk(D):
