@@ -21,7 +21,7 @@ from itertools import repeat
 from math import isqrt
 from operator import mul
 
-from .exact import frac_to_json
+from .exact import _check_print_bits, frac_to_json
 from .quadglobal import hurwitz6_row
 
 _ONE_DIM_WEIGHTS = {12: (0, 0), 16: (1, 0), 18: (0, 1), 20: (2, 0), 22: (1, 1), 26: (2, 1)}
@@ -82,39 +82,6 @@ def hecke_traces(n: int, weights: Iterable[int]) -> dict[int, TraceTerms]:
     of n is built once for all weights, and for each t one run of the U
     recurrence up to max(k) - 2 gives U_{k-2}(t, n) at every weight.
     """
-    return _hecke_traces(n, weights)
-
-
-def trace_formula(k: int, n: int) -> TraceTerms:
-    """Exact trace of T_n on weight-k level-one cusp forms, k even >= 4.
-
-    rhs_total is the normalized n^(1 - k/2) Tr T_n; its three summands keep
-    their signs.  The elliptic sum runs over all integers t with t^2 < 4n,
-    weighting U_{k-2}(t, n) by the Hurwitz class number H(4n - t^2), the
-    weighted class numbers of the orders containing the root of
-    X^2 - t X + n.  All of 6H(4n - t^2), t >= 0, come from one O(n) sweep,
-    ``hurwitz6_row(n)``, which does not depend on k.  For even k both
-    factors are even in t, so t = 0 is summed once and each t > 0 twice.
-    The hyperbolic sum of min(d, n/d)^(k-1) over the divisors d of n pairs d
-    with n/d, so it walks d <= sqrt(n) only.
-
-    Everything is accumulated as one integer,
-
-        12 Tr T_n = (k - 1) n^(k/2 - 1) [n square]
-                    - sum_t U_{k-2}(t, n) 6H(4n - t^2) - 6 sum_{d | n} min(d, n/d)^(k-1),
-
-    and the trace is its quotient by 12.  A nonzero remainder is a hard
-    error: it would mean a corrupted constant somewhere.  The four reported
-    terms are then each one Fraction of integers over 12, 12 n^(k/2 - 1) or
-    2 n^(k/2 - 1).  This is the single-weight case of ``hecke_traces``,
-    which shares the row of n among several weights.
-    """
-    return _hecke_traces(n, (k,))[k]
-
-
-def _hecke_traces(n: int, weights: Iterable[int]) -> dict[int, TraceTerms]:
-    # The body of hecke_traces and trace_formula; neither public function
-    # calls the other, so a traced run sees each request once.
     ks = sorted(set(weights))
     if not ks or ks[0] < 4 or any(k % 2 for k in ks):
         raise ValueError("weight must be an even integer >= 4")
@@ -124,6 +91,7 @@ def _hecke_traces(n: int, weights: Iterable[int]) -> dict[int, TraceTerms]:
         raise ValueError(
             f"n must be at most {_TRACE_CAP}: the elliptic sum does O(n) class-number work"
         )
+    _check_print_bits(ks[-1] // 2 * n.bit_length(), f"n^(k/2) at k = {ks[-1]}, n = {n}")
     root = isqrt(n)
     square = root * root == n
     divisors = [d for d in range(1, root + 1) if n % d == 0]
@@ -153,6 +121,33 @@ def _hecke_traces(n: int, weights: Iterable[int]) -> dict[int, TraceTerms]:
             trace,
         )
     return out
+
+
+def trace_formula(k: int, n: int) -> TraceTerms:
+    """Exact trace of T_n on weight-k level-one cusp forms, k even >= 4.
+
+    rhs_total is the normalized n^(1 - k/2) Tr T_n; its three summands keep
+    their signs.  The elliptic sum runs over all integers t with t^2 < 4n,
+    weighting U_{k-2}(t, n) by the Hurwitz class number H(4n - t^2), the
+    weighted class numbers of the orders containing the root of
+    X^2 - t X + n.  All of 6H(4n - t^2), t >= 0, come from one O(n) sweep,
+    ``hurwitz6_row(n)``, which does not depend on k.  For even k both
+    factors are even in t, so t = 0 is summed once and each t > 0 twice.
+    The hyperbolic sum of min(d, n/d)^(k-1) over the divisors d of n pairs d
+    with n/d, so it walks d <= sqrt(n) only.
+
+    Everything is accumulated as one integer,
+
+        12 Tr T_n = (k - 1) n^(k/2 - 1) [n square]
+                    - sum_t U_{k-2}(t, n) 6H(4n - t^2) - 6 sum_{d | n} min(d, n/d)^(k-1),
+
+    and the trace is its quotient by 12.  A nonzero remainder is a hard
+    error: it would mean a corrupted constant somewhere.  The four reported
+    terms are then each one Fraction of integers over 12, 12 n^(k/2 - 1) or
+    2 n^(k/2 - 1).  This is the single-weight case of ``hecke_traces``,
+    which shares the row of n among several weights.
+    """
+    return hecke_traces(n, (k,))[k]
 
 
 def dim_cusp_forms(k: int) -> int:
@@ -216,13 +211,6 @@ class PowerSeriesZ:
 
     def __getitem__(self, i: int) -> int:
         return self.coeffs[i]
-
-    def __eq__(self, other):
-        return isinstance(other, PowerSeriesZ) and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        head = ", ".join(str(c) for c in self.coeffs[:8])
-        return f"PowerSeriesZ([{head}, ...], order={self.order})"
 
 
 def _pack(coeffs: list[int], w: int) -> int:

@@ -68,20 +68,22 @@ def _check_trial(d: int) -> None:
         )
 
 
+# The print budget: the size in bits of the largest power a printed result
+# may hold.  12,000 bits is under 3,613 decimal digits, inside the 4,300-digit
+# limit that Python puts on int-to-str conversion.  An input whose results
+# would pass it is refused before any power is taken.
+_PRINT_BITS = 12_000
+
+
+def _check_print_bits(bits: int, what: str) -> None:
+    if bits > _PRINT_BITS:
+        raise ValueError(
+            f"{what} takes up to {bits} bits; printed results are capped at {_PRINT_BITS} bits")
+
+
 def is_squarefree(n: int) -> bool:
     """True iff the integer n is squarefree (0 is not)."""
-    n = abs(n)
-    if n == 0:
-        return False
-    d = 2
-    while d * d <= n:
-        _check_trial(d)
-        if n % (d * d) == 0:
-            return False
-        while n % d == 0:
-            n //= d
-        d += 1 if d == 2 else 2
-    return True
+    return n != 0 and all(e == 1 for _, e in _prime_powers(n))
 
 
 def _prime_powers(n: int):
@@ -159,13 +161,15 @@ def _ord(n: int, p: int) -> int:
 class QHalfPower:
     """An exact scalar coeff * q^(half_exp / 2) relative to a fixed q.
 
-    The canonical zero has coeff = 0 and half_exp = 0.  Values whose
-    half-exponents differ by an odd amount are never equal (for prime q,
-    sqrt(q) is irrational), and adding them is rejected rather than
-    approximated.  A value with no odd power of sqrt(q) equals its rational,
-    and so equals such a value at any other q; values with an odd power are
-    equal only at the same q.  Equality is therefore an equivalence, and
-    ``__hash__`` agrees with it.
+    The package's local quantities are products and quotients of such
+    scalars, so the class multiplies, divides and compares exactly and has
+    no addition: ``a + b`` raises ``TypeError``, so mixing half-powers is an
+    error rather than an approximation.  The canonical zero has coeff = 0
+    and half_exp = 0.  Values whose half-exponents differ by an odd amount
+    are never equal (for prime q, sqrt(q) is irrational).  A value with no
+    odd power of sqrt(q) equals its rational, and so equals such a value at
+    any other q; values with an odd power are equal only at the same q.
+    Equality is therefore an equivalence, and ``__hash__`` agrees with it.
     """
 
     coeff: Fraction
@@ -221,9 +225,6 @@ class QHalfPower:
             raise ValueError("value contains an odd power of sqrt(q)")
         return self.coeff * Fraction(self.q) ** (self.half_exp // 2)
 
-    def __float__(self) -> float:
-        return float(self.coeff) * float(self.q) ** (self.half_exp / 2)
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -242,59 +243,9 @@ class QHalfPower:
             raise ZeroDivisionError("division by zero")
         return QHalfPower(self.coeff / other.coeff, self.half_exp - other.half_exp, self.q)
 
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        return other if other is NotImplemented else other / self
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        self._check_q(other)
-        if self.coeff == 0:
-            return other
-        if other.coeff == 0:
-            return self
-        if (self.half_exp - other.half_exp) % 2:
-            raise ValueError("incommensurable half-powers")
-        h = min(self.half_exp, other.half_exp)
-        q = self.q
-        c = (self.coeff * q ** ((self.half_exp - h) // 2)
-             + other.coeff * q ** ((other.half_exp - h) // 2))
-        return QHalfPower(c, h, self.q)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + -other
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        return other if other is NotImplemented else other - self
-
-    def __neg__(self):
-        return QHalfPower(-self.coeff, self.half_exp, self.q)
-
     def _check_q(self, other: "QHalfPower") -> None:
         if self.q != other.q:
             raise ValueError(f"mismatched residue cardinalities {self.q} and {other.q}")
-
-    def sqrt(self) -> "QHalfPower":
-        """Exact square root when it stays inside the coeff * q^(k/2) algebra."""
-        if self.coeff == 0:
-            return qhalf_zero(self.q)
-        if self.coeff < 0:
-            raise ValueError("square root of a negative scalar")
-        num, den = self.coeff.numerator, self.coeff.denominator
-        rn, rd = isqrt(num), isqrt(den)
-        if rn * rn != num or rd * rd != den:
-            raise ValueError("coefficient is not a rational square")
-        if self.half_exp % 2:
-            raise ValueError("value outside Q(sqrt q) scalar algebra")
-        return QHalfPower(Fraction(rn, rd), self.half_exp // 2, self.q)
 
     def to_json(self) -> dict:
         return {
@@ -304,26 +255,13 @@ class QHalfPower:
             "half_exp": self.half_exp,
         }
 
-    def __repr__(self):
-        if self.half_exp == 0 or self.coeff == 0:
-            return f"{self.coeff}"
-        return f"{self.coeff}*{self.q}^({self.half_exp}/2)"
-
 
 def qhalf(coeff: RationalLike, q: int, half_exp: int = 0) -> QHalfPower:
     return QHalfPower(coeff, half_exp, q)
 
 
-def qhalf_zero(q: int) -> QHalfPower:
-    return QHalfPower(Fraction(0), 0, q)
-
-
 def abs_p(x: RationalLike, p: int) -> QHalfPower:
-    """p-adic absolute value |x|_p = q^(-ord_p x) as a QHalfPower (|0| = 0)."""
-    _require_prime(p)
-    x = Fraction(x)
-    if x == 0:
-        return qhalf_zero(p)
+    """p-adic absolute value |x|_p = q^(-ord_p x) of a nonzero rational x, as a QHalfPower."""
     return QHalfPower(Fraction(1), -2 * ord_p(x, p), p)
 
 

@@ -33,6 +33,9 @@ from .exact import _require_prime, frac_to_json, is_squarefree
 # p^(2k) <= 10^9 is the same condition as p^k <= isqrt(10^9) = 31,622, and
 # the work of a count is O(p^k): one table of the squares mod p^k.
 _ENUM_BUDGET = 10 ** 9
+# Since p >= 2, p^(2k) <= 10^9 needs 4^k <= 10^9, so k <= 14: checked first,
+# it bounds k before any power is taken.
+_K_MAX = (_ENUM_BUDGET.bit_length() - 1) // 2
 # Hensel: a mod-2^(k+2) congruence solution of the norm-one equation agrees
 # with a true Z_2 solution mod 2^k (the gradient (2x, -2dy) has valuation
 # exactly 1 on the curve).
@@ -62,9 +65,9 @@ def _check_args(p: int, k: int) -> None:
     _require_prime(p)
     if k < 1:
         raise ValueError("k must be >= 1")
-    if p ** (2 * k) > _ENUM_BUDGET:
+    if k > _K_MAX or p ** (2 * k) > _ENUM_BUDGET:
         raise ValueError(
-            f"enumeration budget exceeded: the work is p^k = {p ** k}, "
+            f"enumeration budget exceeded: the work is p^k = {p}^{k}, "
             f"at most {isqrt(_ENUM_BUDGET):,}")
 
 
@@ -159,6 +162,7 @@ def volume_profile(eq: NormEquation, p: int, k_max: int) -> CountProfile:
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    _check_args(p, k_max)   # before the first count: the deepest level costs most
     counts = [(k, count_mod(eq, p, k)) for k in range(1, k_max + 1)]
     raw = counts
     if p == 2 and eq.constraint is Constraint.NORM_ONE:

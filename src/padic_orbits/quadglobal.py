@@ -57,7 +57,8 @@ def _check_disc(D: int) -> None:
         raise ValueError(f"{D} is not a negative discriminant (0 or 1 mod 4)")
     if -D > _DISC_CAP:
         raise ValueError(
-            f"|D| must be at most {_DISC_CAP}: class numbers do O(|D|) work"
+            f"|D| must be at most {_DISC_CAP}: the independent scan, class_number_scan, "
+            "does O(|D|) work and sets the cap"
         )
 
 

@@ -15,6 +15,7 @@ from typing import Optional
 
 from .exact import (
     QHalfPower,
+    _check_print_bits,
     _require_prime,
     abs_p,
     fundamental_discriminant,
@@ -124,6 +125,8 @@ class Gl2OrbitClass:
         if self.d < 0:
             raise ValueError("depth d must be nonnegative")
         _require_prime(self.q)
+        _check_print_bits((self.d + 2) * self.q.bit_length(),
+                          f"q^(d+2) at d = {self.d}, q = {self.q}")
 
     def to_json(self) -> dict:
         return {"kind": self.kind.value, "d": self.d, "q": self.q}

@@ -151,6 +151,49 @@ def test_large_input_that_factors_at_once_is_admitted(capsys, argv):
     assert "error" not in json.loads(out)
 
 
+# One absurd value per capped input.  Each is refused before any work, with
+# a message that names its cap; trace --k and orbital --d used to run for
+# seconds, then fail in int-to-str conversion.
+@pytest.mark.parametrize("argv, cap", [
+    ("trace --k 1000000 --n 2", "capped at 12000 bits"),
+    ("trace --k 12 --n 1000000000", "at most 100000:"),
+    ("orbital --kind u --d 1000000 --p 3", "capped at 12000 bits"),
+    ("point-count --d 3 --p 2 --k 1000000000 --constraint one", "at most 31,622"),
+    ("point-count --d 2 --p 3 --k 3000000 --constraint unit", "at most 31,622"),
+    ("classnum --disc -1000000000000", "at most 100000000:"),
+    ("tau --upto 1000000000", "between 1 and 10000"),
+    ("cnf --d -1000000000001", "at most 100000000:"),
+    ("global-check --trace 1 --det 1000000007", "at most 100000000:"),
+], ids=["trace-k", "trace-n", "orbital-d", "point-count-p2", "point-count-p3",
+        "classnum", "tau", "cnf", "global-check"])
+def test_over_budget_input_is_refused_at_once(capsys, argv, cap):
+    start = time.perf_counter()
+    code, out = run_cli(capsys, *argv.split())
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert cap in error and "Exceeds the limit" not in error
+
+
+# The print budget admits (k // 2) * n.bit_length() and (d + 2) * q.bit_length()
+# up to 12000: the largest admitted input prints, and the next one is refused.
+@pytest.mark.parametrize("argv, admitted", [
+    ("trace --k 1410 --n 99991", True),        # 705 * 17 = 11985 bits
+    ("trace --k 1412 --n 99991", False),       # 706 * 17 = 12002
+    ("trace --k 24000 --n 1", True),           # 12000 * 1
+    ("trace --k 24002 --n 1", False),
+    ("orbital --kind u --d 5998 --p 3", True),   # 6000 * 2
+    ("orbital --kind u --d 5999 --p 3", False),
+])
+def test_print_budget_boundary(capsys, argv, admitted):
+    code, out = run_cli(capsys, *argv.split())
+    payload = json.loads(out)
+    if admitted:
+        assert code == 0 and "error" not in payload
+    else:
+        assert code == 1 and "capped at 12000 bits" in payload["error"]
+
+
 def test_trace_odd_weight_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["trace", "--k", "13", "--n", "1"])

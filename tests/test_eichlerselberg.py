@@ -160,6 +160,19 @@ def test_trace_budget_admits_the_cap(monkeypatch):
         trace_formula(12, 51)
 
 
+def test_print_budget_rejects_large_weight_before_work(monkeypatch):
+    def refuse(n):
+        raise RuntimeError("row built before the budget check")
+
+    monkeypatch.setattr(es, "hurwitz6_row", refuse)
+    with pytest.raises(ValueError, match=r"k = 1000000, n = 2 takes up to 1000000 bits; "
+                                         r"printed results are capped at 12000 bits"):
+        trace_formula(10 ** 6, 2)
+    # the largest weight sets the size of every power
+    with pytest.raises(ValueError, match=r"k = 1412, n = 99991 takes up to 12002 bits"):
+        es.hecke_traces(99991, (12, 1412))
+
+
 # --------------------------------------------------------------------------
 # References: the algorithms the package replaced, written out here so that
 # no rule is taken from the code under test.

@@ -16,7 +16,6 @@ from padic_orbits.exact import (
     is_squarefree,
     ord_p,
     qhalf,
-    qhalf_zero,
     squarefree_part,
 )
 
@@ -39,8 +38,9 @@ def test_ord_zero_rejected():
 
 def test_abs_examples():
     assert abs_p(9, 3) == QHalfPower(Fraction(1), -4, 3)
-    assert abs_p(0, 7) == qhalf_zero(7)
     assert abs_p(Fraction(1, 5), 5) == qhalf(5, 5)
+    with pytest.raises(ValueError, match="zero"):
+        abs_p(0, 7)
 
 
 @given(x=nonzero_rationals, y=nonzero_rationals, p=st.sampled_from(PRIMES))
@@ -59,7 +59,7 @@ def test_ord_ultrametric(x, y, p):
         assert v == min(vx, vy)
 
 
-@given(x=rationals, y=rationals, p=st.sampled_from(PRIMES))
+@given(x=nonzero_rationals, y=nonzero_rationals, p=st.sampled_from(PRIMES))
 def test_abs_is_multiplicative(x, y, p):
     assert abs_p(x * y, p) == abs_p(x, p) * abs_p(y, p)
 
@@ -107,13 +107,13 @@ def test_qhalf_add_mul_examples():
 def test_qhalf_mixed_parity_add_rejected():
     a = qhalf(Fraction(1, 2), 2, -1)
     b = qhalf(1, 2, 0)
-    with pytest.raises(ValueError, match="incommensurable"):
+    with pytest.raises(TypeError):
         a + b
 
 
 def test_qhalf_division_by_zero():
     with pytest.raises(ZeroDivisionError):
-        qhalf(1, 3) / qhalf_zero(3)
+        qhalf(1, 3) / QHalfPower(0, 0, 3)
 
 
 def test_qhalf_equality_absorbs_even_exponents():
@@ -131,7 +131,7 @@ def test_qhalf_hashes_as_the_rational_it_equals():
     assert qhalf(Fraction(1, 2), 5, 2) == Fraction(5, 2)
     assert hash(qhalf(Fraction(1, 2), 5, 2)) == hash(Fraction(5, 2))
     assert {Fraction(5, 2): 1}.get(qhalf(Fraction(1, 2), 5, 2)) == 1
-    assert len({qhalf_zero(7), QHalfPower(Fraction(0), 3, 7), 0, Fraction(0)}) == 1
+    assert len({QHalfPower(0, 0, 7), QHalfPower(Fraction(0), 3, 7), 0, Fraction(0)}) == 1
 
 
 def test_qhalf_equality_is_an_equivalence():
@@ -141,12 +141,12 @@ def test_qhalf_equality_is_an_equivalence():
     assert qhalf(3, 5) == qhalf(3, 7) and qhalf(3, 5, 2) == qhalf(15, 7)
     assert qhalf(3, 5, 1) != qhalf(3, 7, 1)
     assert qhalf(3, 5, 1) == qhalf(3, 5, 1)
-    assert qhalf_zero(5) == qhalf_zero(7) == 0
+    assert QHalfPower(0, 0, 5) == QHalfPower(0, 0, 7) == 0
 
 
 def test_qhalf_zero_is_canonical():
     z = QHalfPower(Fraction(0), 7, 5)
-    assert z.half_exp == 0 and z == qhalf_zero(5)
+    assert z.half_exp == 0 and z == QHalfPower(0, 0, 5)
 
 
 def test_qhalf_cross_q_operations_rejected():
@@ -163,36 +163,19 @@ def test_qhalf_foreign_operand_is_type_error(op):
     assert qhalf(1, 3) != "x"
 
 
-def test_qhalf_sub_examples():
-    assert qhalf(1, 3, -2) - Fraction(1, 3) == qhalf_zero(3)
-    assert qhalf(5, 3) - 2 == qhalf(3, 3)
-    assert qhalf(2, 5, -1) - qhalf(1, 5, -1) == qhalf(1, 5, -1)
-    assert 2 - qhalf(1, 3) == 1
-    with pytest.raises(ValueError, match="incommensurable"):
-        1 - qhalf(1, 3, 1)
-
-
-def test_qhalf_sqrt():
-    assert qhalf(Fraction(4, 9), 3, -4).sqrt() == qhalf(Fraction(2, 3), 3, -2)
-    with pytest.raises(ValueError):
-        qhalf(2, 3, 0).sqrt()
-    with pytest.raises(ValueError):
-        qhalf(1, 3, -3).sqrt()
-
-
 coeffs = st.fractions(min_value=-100, max_value=100)
 halves = st.integers(min_value=-20, max_value=20)
+
+
+def _float(x):
+    return float(x.coeff) * float(x.q) ** (x.half_exp / 2)
 
 
 @given(c1=coeffs, h1=halves, c2=coeffs, h2=halves, q=st.sampled_from(PRIMES))
 def test_qhalf_float_agreement(c1, h1, c2, h2, q):
     a, b = QHalfPower(c1, h1, q), QHalfPower(c2, h2, q)
-    prod = a * b
-    expect = float(a) * float(b)
-    assert math.isclose(float(prod), expect, rel_tol=1e-12, abs_tol=1e-300)
-    if (h1 - h2) % 2 == 0 or c1 == 0 or c2 == 0:
-        total = a + b
-        assert math.isclose(float(total), float(a) + float(b), rel_tol=1e-12, abs_tol=1e-9)
+    expect = _float(a) * _float(b)
+    assert math.isclose(_float(a * b), expect, rel_tol=1e-12, abs_tol=1e-300)
 
 
 # Integer and Fraction coefficients, both of which QHalfPower accepts.
@@ -212,11 +195,8 @@ def same_parity_triples(draw):
 def test_qhalf_field_laws(triple):
     a, b, c = triple
     for lhs, rhs in (
-        ((a + b) + c, a + (b + c)),
-        (a + b, b + a),
         ((a * b) * c, a * (b * c)),
         (a * b, b * a),
-        (a * (b + c), a * b + a * c),
     ):
         assert lhs == rhs and hash(lhs) == hash(rhs)
 
@@ -255,7 +235,7 @@ def test_squarefree_helpers():
     assert not is_fundamental_discriminant(-9)
 
 
-# The two trial-division loops, and squarefree_part, which factors through one.
+# The trial-division loop, and the two functions that factor through it.
 _TRIAL_ENTRIES = [
     pytest.param(is_squarefree, id="is_squarefree"),
     pytest.param(lambda n: list(_prime_powers(n)), id="_prime_powers"),

@@ -1,8 +1,10 @@
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from padic_orbits import pointcount
 from padic_orbits.exact import QHalfPower, is_prime, is_squarefree, ord_p
 from padic_orbits.localquad import QuadKind, classify_quad, norm1_volume, res_torus_volume
 from padic_orbits.pointcount import (
@@ -62,6 +64,23 @@ def test_budget_guard():
         count_mod(eq(-1, UNIT), 101, 5)
     with pytest.raises(ValueError, match="budget"):
         raw_count_mod(eq(-1, ONE), 101, 5)
+
+
+@pytest.mark.parametrize("count", [count_mod, raw_count_mod])
+def test_budget_bounds_k_before_any_power(count):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"p\^k = 3\^1000000000, at most 31,622$"):
+        count(eq(-1, ONE), 3, 10 ** 9)
+    assert time.perf_counter() - start < 1.0   # 3^(2 * 10^9) alone has 3.2 * 10^9 bits
+
+
+def test_volume_profile_checks_k_max_before_counting(monkeypatch):
+    def refuse(*args):
+        raise RuntimeError("counted before the budget check")
+
+    monkeypatch.setattr(pointcount, "_congruence_count", refuse)
+    with pytest.raises(ValueError, match=r"p\^k = 3\^1000000000, at most 31,622$"):
+        volume_profile(eq(-1, UNIT), 3, 10 ** 9)
 
 
 @pytest.mark.parametrize("count", [count_mod, raw_count_mod])

@@ -78,7 +78,8 @@ def test_class_number_budget_rejects_large_disc_before_work(monkeypatch, entry):
     monkeypatch.setattr(qg, "isqrt", _refuse)
     cap = qg._DISC_CAP
     start = time.perf_counter()
-    with pytest.raises(ValueError, match=rf"at most {cap}: class numbers do O\(\|D\|\) work"):
+    with pytest.raises(ValueError, match=rf"at most {cap}: the independent scan, "
+                                         r"class_number_scan, does O\(\|D\|\) work"):
         entry(-(cap + 3))
     with pytest.raises(ValueError, match="at most"):
         entry(-10 ** 12)
