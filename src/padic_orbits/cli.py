@@ -184,10 +184,11 @@ def _cmd_global_check(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    # the oracle first, so that its cap refuses n before any trace-formula work
+    oracle = es.oracle_coefficient(args.k, args.n) if args.oracle else None
     terms = es.trace_formula(args.k, args.n)
     payload = terms.to_json()
     if args.oracle:
-        oracle = es.oracle_coefficient(args.k, args.n)
         payload["oracle"] = str(oracle)
         payload["match"] = oracle == terms.trace
     return _emit(payload)

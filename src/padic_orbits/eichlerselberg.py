@@ -7,9 +7,11 @@ Hurwitz class numbers, which it reads from one row,
 ``quadglobal.hurwitz6_row(n)``, in O(n) work; the weight enters only through
 U_{k-2}(t, n).  ``hecke_traces`` evaluates every requested weight at one n
 against one row and one run of the U recurrence per t.  The oracle side
-expands the weight-12 cusp form as an eta product, eta^24 as three squarings
-of eta^3, and the one-dimensional spaces as its products with the weight-4
-and weight-6 Eisenstein series, all in exact integer arithmetic.
+expands the weight-12 cusp form Delta as an eta product, eta^24 as three
+squarings of eta^3.  Every other one-dimensional space S_k is Delta times the
+one Eisenstein series E_{k-12}, since M_8, M_10 and M_14 are one-dimensional
+(E4^2 = E8, E4 E6 = E10, E4^2 E6 = E14), so each eigenform costs one series
+product beyond Delta.  All of it is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -24,8 +26,11 @@ from operator import mul
 from .exact import _check_print_bits, frac_to_json
 from .quadglobal import hurwitz6_row
 
-_ONE_DIM_WEIGHTS = {12: (0, 0), 16: (1, 0), 18: (0, 1), 20: (2, 0), 22: (1, 1), 26: (2, 1)}
+# k -> the (power, c) of E_{k-12} for _eisenstein; weight 12 takes no factor.
+_ONE_DIM_WEIGHTS = {12: None, 16: (3, 240), 18: (5, -504), 20: (7, 480), 22: (9, -264),
+                    26: (13, -24)}
 _SERIES_CAP = 10 ** 4
+_ORACLE_CAP = 2000
 _TRACE_CAP = 10 ** 5
 
 
@@ -246,7 +251,11 @@ def eta_tau(N: int) -> list[int]:
 
 
 def _eisenstein(N: int, power: int, c: int) -> PowerSeriesZ:
-    """1 + c * sum_m sigma_power(m) q^m: E4 is (3, 240), E6 is (5, -504)."""
+    """1 + c * sum_m sigma_power(m) q^m, to order N.
+
+    E_j is (j - 1, -2j / B_j) with B_j the Bernoulli number, so E4 is
+    (3, 240), E6 (5, -504), E8 (7, 480), E10 (9, -264) and E14 (13, -24).
+    """
     coeffs = [0] * (N + 1)
     for d in range(1, N + 1):
         term = c * d ** power
@@ -258,18 +267,20 @@ def _eisenstein(N: int, power: int, c: int) -> PowerSeriesZ:
 
 def eigenform_coeffs(k: int, N: int) -> list[int]:
     """q-expansion (a_1..a_N) of the normalized eigenform in a one-dimensional
-    cusp space, as the weight-12 form times Eisenstein factors."""
+    cusp space: Delta from ``eta_tau``, times E_{k-12} unless k = 12.
+
+    S_k is Delta M_{k-12}, and M_{k-12} is spanned by E_{k-12} for the
+    weights here, so the product is the eigenform with a_1 = 1 and takes
+    one series product after the three squarings of ``eta_tau``.
+    """
     if k not in _ONE_DIM_WEIGHTS:
         raise ValueError(f"space not one-dimensional at weight {k}")
-    if not 1 <= N <= 2000:
-        raise ValueError("N must be between 1 and 2000")
-    a, b = _ONE_DIM_WEIGHTS[k]
-    tau = eta_tau(N)
-    f = PowerSeriesZ([0] + tau[1:], N)
-    for _ in range(a):
-        f = f * _eisenstein(N, 3, 240)
-    for _ in range(b):
-        f = f * _eisenstein(N, 5, -504)
+    if not 1 <= N <= _ORACLE_CAP:
+        raise ValueError(
+            f"the eta/Eisenstein oracle takes n between 1 and {_ORACLE_CAP}, not n = {N}")
+    f = PowerSeriesZ(eta_tau(N), N)   # index 0 of eta_tau is 0, the q^0 term
+    if _ONE_DIM_WEIGHTS[k]:
+        f = f * _eisenstein(N, *_ONE_DIM_WEIGHTS[k])
     if f[1] != 1:
         raise ArithmeticError(f"eigenform at weight {k} not normalized: a_1 = {f[1]}")
     return f.coeffs[1:]

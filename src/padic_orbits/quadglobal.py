@@ -24,6 +24,7 @@ reports.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, filterfalse, islice, repeat
@@ -391,7 +392,9 @@ def global_identity_check(trace: int, det: int) -> GlobalIdentityReport:
     assembled from the product of local conversions; after the product
     formula this is sqrt|disc| L(1, chi) / (2 pi) times the same O_can
     product, so the relative residual measures the analytic class number
-    formula with every exact local factor in place.
+    formula with every exact local factor in place.  An element whose O_can
+    product, or that product times h/w, lies beyond the largest float is
+    refused with a ValueError before the L-value is summed.
     """
     disc = trace * trace - 4 * det
     if disc >= 0:
@@ -410,6 +413,14 @@ def global_identity_check(trace: int, det: int) -> GlobalIdentityReport:
         rep = full_report(Fraction(trace), Fraction(det), p)
         local[str(p)] = rep.to_json()
         prod_o_can *= rep.O_canonical
+    volume = finite_adelic_volume(K) * prod_o_can
+    if max(volume, prod_o_can) > sys.float_info.max:
+        factored = " * ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in _prime_powers(det))
+        log2 = [x.numerator.bit_length() - x.denominator.bit_length() for x in (prod_o_can, volume)]
+        raise ValueError(
+            f"global_identity_check at trace = {trace}, det = {factored}: prod O_can is about "
+            f"2^{log2[0]} and (h/w) * prod O_can about 2^{log2[1]}; the float lhs and rhs "
+            f"need both within the float range (at most {sys.float_info.max:.6g})")
 
     off_samples = {}
     p, found = 2, 0
@@ -423,7 +434,7 @@ def global_identity_check(trace: int, det: int) -> GlobalIdentityReport:
         p += 1
 
     L_value, L_bound = dirichlet_L1(K.disc, L_TERMS)
-    lhs = float(finite_adelic_volume(K) * prod_o_can)
+    lhs = float(volume)
     rhs = math.sqrt(abs(K.disc)) * L_value * float(prod_o_can) / (2 * math.pi)
     residual = abs(lhs - rhs) / abs(rhs)
     bound = L_bound / L_value + 1e-12

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+import padic_orbits.eichlerselberg as es
 from padic_orbits.acceptance import CRITERIA
 from padic_orbits.cli import main
 
@@ -100,6 +101,29 @@ def test_classnum_over_budget_is_a_json_error_at_once(capsys):
     assert "at most 100000000" in json.loads(out)["error"]
 
 
+def test_trace_oracle_cap_is_checked_before_the_trace_formula(capsys, monkeypatch):
+    def refuse(n):
+        raise RuntimeError("trace formula built before the oracle's cap")
+
+    monkeypatch.setattr(es, "hurwitz6_row", refuse)
+    code, out = run_cli(capsys, "trace", "--k", "26", "--n", "2001", "--oracle")
+    assert code == 1
+    assert json.loads(out)["error"] == (
+        "the eta/Eisenstein oracle takes n between 1 and 2000, not n = 2001")
+
+
+# The largest admitted and the first refused power of 3 in global-check: at
+# 3^1291, prod O_can is the first value past the largest float.
+@pytest.mark.parametrize("e, admitted", [(1290, True), (1291, False)])
+def test_global_check_float_range_boundary(capsys, e, admitted):
+    code, out = run_cli(capsys, "global-check", "--trace", "0", "--det", str(3 ** e))
+    payload = json.loads(out)
+    if admitted:
+        assert code == 0 and payload["ok"] is True
+    else:
+        assert code == 1 and "within the float range" in payload["error"]
+
+
 def test_trace_with_oracle(capsys):
     code, out = run_cli(capsys, "trace", "--k", "12", "--n", "2", "--oracle")
     assert code == 0
@@ -164,8 +188,14 @@ def test_large_input_that_factors_at_once_is_admitted(capsys, argv):
     ("tau --upto 1000000000", "between 1 and 10000"),
     ("cnf --d -1000000000001", "at most 100000000:"),
     ("global-check --trace 1 --det 1000000007", "at most 100000000:"),
+    (f"global-check --trace 0 --det {3 ** 5000}", "det = 3^5000: prod O_can is about 2^3963 "
+                                                  "and (h/w) * prod O_can about 2^3961; the "
+                                                  "float lhs and rhs need both within the "
+                                                  "float range (at most 1.79769e+308)"),
+    ("trace --k 26 --n 2001 --oracle", "eta/Eisenstein oracle takes n between 1 and 2000, "
+                                       "not n = 2001"),
 ], ids=["trace-k", "trace-n", "orbital-d", "point-count-p2", "point-count-p3",
-        "classnum", "tau", "cnf", "global-check"])
+        "classnum", "tau", "cnf", "global-check", "global-check-float", "trace-oracle-n"])
 def test_over_budget_input_is_refused_at_once(capsys, argv, cap):
     start = time.perf_counter()
     code, out = run_cli(capsys, *argv.split())

@@ -1,6 +1,6 @@
 import sys
 from fractions import Fraction
-from math import isqrt
+from math import comb, isqrt
 
 import pytest
 from hypothesis import given, strategies as st
@@ -91,6 +91,10 @@ def test_eigenform_examples():
     assert eigenform_coeffs(16, 2)[1] == 216
     with pytest.raises(ValueError, match="one-dimensional"):
         eigenform_coeffs(24, 5)
+    for N in (0, 2001):
+        with pytest.raises(ValueError, match=rf"eta/Eisenstein oracle takes n between 1 and "
+                                             rf"2000, not n = {N}$"):
+            eigenform_coeffs(12, N)
 
 
 def test_eigenform_normalization_failure_is_arithmetic_error(monkeypatch):
@@ -361,3 +365,72 @@ def test_series_product_at_the_slot_bound(order, top):
         assert (f * f).coeffs == _dense_product(b, b)
         one = [sb] + [0] * order
         assert (PowerSeriesZ(a, order) * PowerSeriesZ(one, order)).coeffs == _dense_product(a, one)
+
+
+def _bernoulli(m):
+    # B_0..B_m from sum_{j <= i} C(i + 1, j) B_j = 0 for i >= 1
+    B = [F(1)]
+    for i in range(1, m + 1):
+        B.append(-sum(comb(i + 1, j) * B[j] for j in range(i)) / (i + 1))
+    return B
+
+
+_B = _bernoulli(14)
+_ONE_DIM = (12, 16, 18, 20, 22, 26)
+
+
+def _E(j, order):
+    # E_j = 1 - (2j / B_j) sum sigma_{j-1}(n) q^n, by divisor sums of its own
+    c = -2 * j / _B[j]
+    assert c.denominator == 1
+    sigma = [sum(d ** (j - 1) for d in range(1, n + 1) if n % d == 0) for n in range(1, order + 1)]
+    return PowerSeriesZ([1] + [c.numerator * s for s in sigma], order)
+
+
+def test_bernoulli_reference_values():
+    assert _B[:7] == [1, F(-1, 2), F(1, 6), 0, F(-1, 30), 0, F(1, 42)]
+    assert (_B[8], _B[10], _B[12], _B[14]) == (F(-1, 30), F(5, 66), F(-691, 2730), F(7, 6))
+
+
+def test_one_dim_weight_table_is_the_bernoulli_rule():
+    assert sorted(es._ONE_DIM_WEIGHTS) == [k for k in range(4, 62, 2) if dim_cusp_forms(k) == 1]
+    assert es._ONE_DIM_WEIGHTS[12] is None   # Delta itself
+    for k in _ONE_DIM[1:]:
+        j = k - 12
+        assert es._ONE_DIM_WEIGHTS[k] == (j - 1, -2 * j / _B[j]), k
+        assert es._eisenstein(40, *es._ONE_DIM_WEIGHTS[k]).coeffs == _E(j, 40).coeffs
+
+
+def test_eisenstein_products_span_one_dimensional_spaces():
+    # M_8, M_10 and M_14 are one-dimensional, and each product has constant term 1
+    e4, e6 = _E(4, 300), _E(6, 300)
+    assert (e4 * e4).coeffs == _E(8, 300).coeffs
+    assert (e4 * e6).coeffs == _E(10, 300).coeffs
+    assert (e4 * e4 * e6).coeffs == _E(14, 300).coeffs
+
+
+def _eigenform_chain(k, N):
+    # Delta E4^a E6^b with 4a + 6b = k - 12: the three-product chain the
+    # oracle made before each space took its one Eisenstein factor
+    a, b = {12: (0, 0), 16: (1, 0), 18: (0, 1), 20: (2, 0), 22: (1, 1), 26: (2, 1)}[k]
+    f = PowerSeriesZ(eta_tau(N), N)
+    for _ in range(a):
+        f = f * es._eisenstein(N, 3, 240)
+    for _ in range(b):
+        f = f * es._eisenstein(N, 5, -504)
+    return f.coeffs[1:]
+
+
+@pytest.mark.parametrize("N", [1, 2, 50, 2000])
+def test_eigenform_matches_the_eisenstein_chain(N):
+    for k in _ONE_DIM:
+        assert eigenform_coeffs(k, N) == _eigenform_chain(k, N), k
+
+
+def test_eigenform_makes_one_product_after_eta_tau(monkeypatch):
+    real, calls = PowerSeriesZ.__mul__, []
+    monkeypatch.setattr(PowerSeriesZ, "__mul__", lambda f, g: calls.append(1) or real(f, g))
+    for k in _ONE_DIM:
+        calls.clear()
+        eigenform_coeffs(k, 50)
+        assert len(calls) == (3 if k == 12 else 4), k   # eta_tau squares three times
