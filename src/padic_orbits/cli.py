@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import acceptance, gl2local, kirillov, localquad, pointcount, quadglobal
 from . import eichlerselberg as es
 from . import weylsteinberg as ws
-from .exact import frac_to_json, is_prime
+from .exact import _require_prime, frac_to_json
 
 
 def _emit(payload: dict) -> int:
@@ -39,8 +39,10 @@ def _parse_fraction(text: str) -> Fraction:
 
 def _prime(text: str) -> int:
     value = int(text)
-    if not is_prime(value):
-        raise argparse.ArgumentTypeError(f"{value} is not prime")
+    try:
+        _require_prime(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     return value
 
 

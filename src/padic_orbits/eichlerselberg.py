@@ -23,7 +23,7 @@ from itertools import repeat
 from math import isqrt
 from operator import mul
 
-from .exact import _check_print_bits, frac_to_json
+from .exact import _PRINT_BITS, _PRINT_WORK, _check_budget, frac_to_json
 from .quadglobal import hurwitz6_row
 
 # k -> the (power, c) of E_{k-12} for _eisenstein; weight 12 takes no factor.
@@ -31,7 +31,6 @@ _ONE_DIM_WEIGHTS = {12: None, 16: (3, 240), 18: (5, -504), 20: (7, 480), 22: (9,
                     26: (13, -24)}
 _SERIES_CAP = 10 ** 4
 _ORACLE_CAP = 2000
-_TRACE_CAP = 10 ** 5
 
 
 def gegenbauer_like(t: int, n: int, js: Sequence[int]) -> list[int]:
@@ -90,17 +89,12 @@ def hecke_traces(n: int, weights: Iterable[int]) -> dict[int, TraceTerms]:
     ks = sorted(set(weights))
     if not ks or ks[0] < 4 or any(k % 2 for k in ks):
         raise ValueError("weight must be an even integer >= 4")
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    if n > _TRACE_CAP:
-        raise ValueError(
-            f"n must be at most {_TRACE_CAP}: the elliptic sum does O(n) class-number work"
-        )
-    _check_print_bits(ks[-1] // 2 * n.bit_length(), f"n^(k/2) at k = {ks[-1]}, n = {n}")
+    _check_budget(f"bits of n^(k/2) (k = {ks[-1]}, n = {n})", ks[-1] // 2 * n.bit_length(),
+                  _PRINT_BITS, _PRINT_WORK)
+    row = hurwitz6_row(n)   # refuses n < 1 and n above its cap before any work
     root = isqrt(n)
     square = root * root == n
     divisors = [d for d in range(1, root + 1) if n % d == 0]
-    row = hurwitz6_row(n)
     # U_{k-2}(t, n) at every weight, one list per t of the row.  It is built
     # as a list: on CPython 3.11, zip(*map(...)) fed to sum(map(mul, ...))
     # kept one memory block per call alive, and the process grew with use.
@@ -242,8 +236,9 @@ def eta_tau(N: int) -> list[int]:
     The 24th power is built as the 8th power of the cubed product, whose
     expansion is the sparse Jacobi series, in three series squarings.
     """
-    if not 1 <= N <= _SERIES_CAP:
-        raise ValueError(f"N must be between 1 and {_SERIES_CAP}")
+    if N < 1:
+        raise ValueError("N must be a positive integer")
+    _check_budget("N", N, _SERIES_CAP, "the eta product squares series of N terms")
     res = _eta_cubed(N - 1)
     for _ in range(3):
         res = res * res
@@ -275,9 +270,7 @@ def eigenform_coeffs(k: int, N: int) -> list[int]:
     """
     if k not in _ONE_DIM_WEIGHTS:
         raise ValueError(f"space not one-dimensional at weight {k}")
-    if not 1 <= N <= _ORACLE_CAP:
-        raise ValueError(
-            f"the eta/Eisenstein oracle takes n between 1 and {_ORACLE_CAP}, not n = {N}")
+    _check_budget("n", N, _ORACLE_CAP, "the eta/Eisenstein oracle multiplies series of n terms")
     f = PowerSeriesZ(eta_tau(N), N)   # index 0 of eta_tau is 0, the q^0 term
     if _ONE_DIM_WEIGHTS[k]:
         f = f * _eisenstein(N, *_ONE_DIM_WEIGHTS[k])

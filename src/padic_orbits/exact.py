@@ -45,40 +45,29 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _check_budget(what: str, value: int, cap: int, work: str) -> None:
+    """The package's one budget refusal: what, its value, the cap and the work it bounds."""
+    if value > cap:
+        raise ValueError(f"{what} = {value} must be at most {cap}: {work}")
+
+
+# The print budget: the bits of the largest power a printed result may hold.
+# 12,000 bits is under 3,613 decimal digits, inside Python's 4,300-digit limit
+# on int-to-str conversion; an input past it is refused before any power.
+_PRINT_BITS = 12_000
+_PRINT_WORK = "printed results are capped in bits, under the 4,300-digit int-to-str limit"
+
+
 def _require_prime(p: int) -> None:
+    # p^2 or more is printed wherever p is taken: p's size goes before primality
+    _check_budget("bits of p", p.bit_length(), _PRINT_BITS // 2, _PRINT_WORK)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
 
 
-# Trial division tries at most 5 * 10^5 divisors, however large |n| is.
+# Trial division tries at most 5 * 10^5 divisors, however large |n| is; any
+# |n| whose cofactor drops below the bound's square is admitted.
 _TRIAL_BOUND = 10 ** 6
-
-
-def _check_trial(d: int) -> None:
-    """Raise once a trial-division loop needs a divisor d above _TRIAL_BOUND.
-
-    The loops ask only while d^2 is at most the cofactor, so this raises
-    exactly when the divisor passes the bound with the cofactor still above
-    its square; any |n| whose cofactor drops below that square is admitted.
-    """
-    if d > _TRIAL_BOUND:
-        raise ValueError(
-            f"trial division stops at divisor {_TRIAL_BOUND}: "
-            f"a cofactor above {_TRIAL_BOUND}^2 with no smaller prime factor remains"
-        )
-
-
-# The print budget: the size in bits of the largest power a printed result
-# may hold.  12,000 bits is under 3,613 decimal digits, inside the 4,300-digit
-# limit that Python puts on int-to-str conversion.  An input whose results
-# would pass it is refused before any power is taken.
-_PRINT_BITS = 12_000
-
-
-def _check_print_bits(bits: int, what: str) -> None:
-    if bits > _PRINT_BITS:
-        raise ValueError(
-            f"{what} takes up to {bits} bits; printed results are capped at {_PRINT_BITS} bits")
 
 
 def is_squarefree(n: int) -> bool:
@@ -90,8 +79,7 @@ def _prime_powers(n: int):
     """Yield (p, e) for each prime power p^e exactly dividing |n|, by trial division."""
     n = abs(n)
     d = 2
-    while d * d <= n:
-        _check_trial(d)
+    while d * d <= n and d <= _TRIAL_BOUND:
         if n % d == 0:
             e = 0
             while n % d == 0:
@@ -99,6 +87,9 @@ def _prime_powers(n: int):
                 e += 1
             yield d, e
         d += 1 if d == 2 else 2
+    if d * d <= n:   # the bound stopped the loop, not the cofactor
+        _check_budget("trial divisor", d, _TRIAL_BOUND,
+                      f"a cofactor above {_TRIAL_BOUND}^2 with no smaller prime factor remains")
     if n > 1:
         yield n, 1
 

@@ -28,14 +28,16 @@ from math import isqrt
 from operator import mod, mul
 from typing import Iterator, Optional, Sequence
 
-from .exact import _require_prime, frac_to_json, is_squarefree
+from .exact import _check_budget, _require_prime, frac_to_json, is_squarefree
 
-# p^(2k) <= 10^9 is the same condition as p^k <= isqrt(10^9) = 31,622, and
-# the work of a count is O(p^k): one table of the squares mod p^k.
-_ENUM_BUDGET = 10 ** 9
-# Since p >= 2, p^(2k) <= 10^9 needs 4^k <= 10^9, so k <= 14: checked first,
+# The work of a count is O(p^k): one table of the squares mod p^k.  The
+# enumeration budget p^(2k) <= 10^9 is the same as p^k <= isqrt(10^9) = 31,622.
+_ENUM_CAP = isqrt(10 ** 9)
+_ENUM_WORK = "a count does O(p^k) work, within the enumeration budget p^(2k) <= 10^9"
+# Since p >= 2, p^k <= 31,622 needs 2^k <= 31,622, so k <= 14: checked first,
 # it bounds k before any power is taken.
-_K_MAX = (_ENUM_BUDGET.bit_length() - 1) // 2
+_K_MAX = _ENUM_CAP.bit_length() - 1
+_DEPTH_CAP = 6
 # Hensel: a mod-2^(k+2) congruence solution of the norm-one equation agrees
 # with a true Z_2 solution mod 2^k (the gradient (2x, -2dy) has valuation
 # exactly 1 on the curve).
@@ -65,10 +67,10 @@ def _check_args(p: int, k: int) -> None:
     _require_prime(p)
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k > _K_MAX or p ** (2 * k) > _ENUM_BUDGET:
-        raise ValueError(
-            f"enumeration budget exceeded: the work is p^k = {p}^{k}, "
-            f"at most {isqrt(_ENUM_BUDGET):,}")
+    # k, then p, bound p^k before it is taken; p^k <= 31,622 needs both
+    _check_budget("k", k, _K_MAX, _ENUM_WORK)
+    _check_budget("p", p, _ENUM_CAP, _ENUM_WORK)
+    _check_budget("p^k", p ** k, _ENUM_CAP, _ENUM_WORK)
 
 
 def _fibres(d: int, c: int, m: int) -> Iterator[tuple[int, Sequence[int]]]:
@@ -160,8 +162,6 @@ def volume_profile(eq: NormEquation, p: int, k_max: int) -> CountProfile:
     it is only declared once two consecutive scalings have been observed, and
     then volume = N_{k0} / p^(k0 * dim).
     """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
     _check_args(p, k_max)   # before the first count: the deepest level costs most
     counts = [(k, count_mod(eq, p, k)) for k in range(1, k_max + 1)]
     raw = counts
@@ -318,8 +318,9 @@ def digit_table(eq: NormEquation, depth: int) -> DigitTable:
     """
     if eq.constraint is not Constraint.NORM_ONE:
         raise ValueError("digit tables are defined for the norm-one constraint")
-    if not 1 <= depth <= 6:
-        raise ValueError("depth must be between 1 and 6")
+    if depth < 1:
+        raise ValueError("depth must be a positive integer")
+    _check_budget("depth", depth, _DEPTH_CAP, "a table enumerates the pairs mod 2^(depth + 2)")
     proj = _norm_one_2adic_image(eq.epsilon, depth)
 
     def to_vec(x: int, y: int) -> tuple[int, ...]:

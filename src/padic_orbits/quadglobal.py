@@ -32,6 +32,7 @@ from math import gcd, isqrt
 from operator import mod
 
 from .exact import (
+    _check_budget,
     _prime_powers,
     frac_to_json,
     fundamental_discriminant,
@@ -47,7 +48,8 @@ from .localquad import kronecker_symbol
 # The one cap of every class-number entry point.  The walk sieves in
 # O(sqrt|D| log log |D|); the a-first scan is O(|D|), and it sets the cap.
 _DISC_CAP = 10 ** 8
-_ROW_CAP = 10 ** 6
+# The one cap of the trace formula's O(n) class-number work.
+_ROW_CAP = 10 ** 5
 # Every class number formula check sums chi(n)/n to L_TERMS terms.
 L_TERMS = 10 ** 6
 _L_DISC_CAP = 10 ** 6
@@ -56,11 +58,8 @@ _L_DISC_CAP = 10 ** 6
 def _check_disc(D: int) -> None:
     if D >= 0 or D % 4 not in (0, 1):
         raise ValueError(f"{D} is not a negative discriminant (0 or 1 mod 4)")
-    if -D > _DISC_CAP:
-        raise ValueError(
-            f"|D| must be at most {_DISC_CAP}: the independent scan, class_number_scan, "
-            "does O(|D|) work and sets the cap"
-        )
+    _check_budget("|D|", -D, _DISC_CAP,
+                  "the independent scan, class_number_scan, does O(|D|) work and sets the cap")
 
 
 def _sqrt_mod(a: int, p: int) -> int:
@@ -171,13 +170,12 @@ def hurwitz6_row(n: int) -> list[int]:
     c = (b^2 - D_t) / 4a, kept when c >= a.  Times 6, (a, 0, a) weighs 3,
     (a, a, a) weighs 2, the other boundary triples (b = 0, b = a or a = c)
     6 and the rest 12, which stand for (a, +-b, c).  The work is O(n), and
-    n is capped at 10^6 before anything is allocated.  The row shares no
+    n is capped at 10^5 before anything is allocated.  The row shares no
     code with the walk or the scan.
     """
-    if not 1 <= n <= _ROW_CAP:
-        raise ValueError(
-            f"n must be between 1 and {_ROW_CAP}: the class-number row does O(n) work"
-        )
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    _check_budget("n", n, _ROW_CAP, "the class-number row does O(n) work")
     N = 4 * n
     discs = [t * t - N for t in range(isqrt(N - 1) + 1)]
     row = [0] * len(discs)
@@ -286,9 +284,7 @@ def dirichlet_L1(disc: int, terms: int) -> tuple[float, float]:
     digamma values whatever the budget (Cohen, GTM 138, section 5.3), and
     |disc| is capped at 10^6.  The package's callers pass terms = L_TERMS.
     """
-    if abs(disc) > _L_DISC_CAP:
-        raise ValueError(f"|disc| must be at most {_L_DISC_CAP}: L(1, chi) evaluates "
-                         "2|disc| digamma values")
+    _check_budget("|disc|", abs(disc), _L_DISC_CAP, "L(1, chi) evaluates 2|disc| digamma values")
     if not is_fundamental_discriminant(disc):
         raise ValueError(f"{disc} is not a fundamental discriminant")
     period = abs(disc)

@@ -14,8 +14,10 @@ from fractions import Fraction
 from typing import Optional
 
 from .exact import (
+    _PRINT_BITS,
+    _PRINT_WORK,
     QHalfPower,
-    _check_print_bits,
+    _check_budget,
     _require_prime,
     abs_p,
     fundamental_discriminant,
@@ -88,7 +90,21 @@ def weyl_disc(s: SpectralData) -> Fraction:
     groups and of alpha * (-alpha) = -alpha^2 for the Lie algebras.  A factor
     vanishes (alpha = 1, resp. alpha = 0) exactly when two entries of the full
     spectrum coincide, so D(gamma) != 0 is the regularity test.
+
+    Before any root is built, D is held to the print budget by an O(n) bound
+    on its bits above and below the bar.  Let h(x) sum the bit lengths of
+    x's numerator and denominator, with nu = 1 outside GSp.  The factor of a
+    root from eigenvalues x and y, or from x alone, takes at most
+    2 (h(x) + h(y) + h(nu)), or 2 (2 h(x) + h(nu)), bits above and below, so
+    the R positive roots take at most 2 R (2 max h + h(nu)).
     """
+    eigs = s.eigenvalues
+    h = [x.numerator.bit_length() + x.denominator.bit_length()
+         for x in (s.multiplier or Fraction(1), *eigs)]
+    symplectic = s.group in (GroupKind.SP2N, GroupKind.GSP2N, GroupKind.SP2N_LIE)
+    roots = len(eigs) * (len(eigs) - 1) // 2 * (1 + symplectic) + len(eigs) * symplectic
+    _check_budget(f"a bound on the bits of D(gamma) at {len(eigs)} eigenvalues",
+                  2 * roots * (2 * max(h[1:]) + h[0]), _PRINT_BITS, _PRINT_WORK)
     lie = s.group in (GroupKind.SLN_LIE, GroupKind.SP2N_LIE)
     out = Fraction(1)
     for a in _positive_roots(s):
@@ -124,9 +140,9 @@ class Gl2OrbitClass:
     def __post_init__(self):
         if self.d < 0:
             raise ValueError("depth d must be nonnegative")
+        _check_budget(f"bits of q^(d+2) (d = {self.d}, q = {self.q})",
+                      (self.d + 2) * self.q.bit_length(), _PRINT_BITS, _PRINT_WORK)
         _require_prime(self.q)
-        _check_print_bits((self.d + 2) * self.q.bit_length(),
-                          f"q^(d+2) at d = {self.d}, q = {self.q}")
 
     def to_json(self) -> dict:
         return {"kind": self.kind.value, "d": self.d, "q": self.q}

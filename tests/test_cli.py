@@ -1,4 +1,5 @@
 import json
+import re
 import time
 
 import pytest
@@ -109,7 +110,7 @@ def test_trace_oracle_cap_is_checked_before_the_trace_formula(capsys, monkeypatc
     code, out = run_cli(capsys, "trace", "--k", "26", "--n", "2001", "--oracle")
     assert code == 1
     assert json.loads(out)["error"] == (
-        "the eta/Eisenstein oracle takes n between 1 and 2000, not n = 2001")
+        "n = 2001 must be at most 2000: the eta/Eisenstein oracle multiplies series of n terms")
 
 
 # The largest admitted and the first refused power of 3 in global-check: at
@@ -157,7 +158,7 @@ def test_huge_input_is_a_json_error_at_once(capsys, argv):
     code, out = run_cli(capsys, *argv.split())
     assert time.perf_counter() - start < 5.0   # each ran past 10 s without the bound
     assert code == 1
-    assert "trial division stops at divisor 1000000" in json.loads(out)["error"]
+    assert "trial divisor = 1000001 must be at most 1000000" in json.loads(out)["error"]
 
 
 # Each is above 10^12 but drops below the bound's square after small divisors:
@@ -176,33 +177,50 @@ def test_large_input_that_factors_at_once_is_admitted(capsys, argv):
 
 
 # One absurd value per capped input.  Each is refused before any work, with
-# a message that names its cap; trace --k and orbital --d used to run for
-# seconds, then fail in int-to-str conversion.
-@pytest.mark.parametrize("argv, cap", [
-    ("trace --k 1000000 --n 2", "capped at 12000 bits"),
-    ("trace --k 12 --n 1000000000", "at most 100000:"),
-    ("orbital --kind u --d 1000000 --p 3", "capped at 12000 bits"),
-    ("point-count --d 3 --p 2 --k 1000000000 --constraint one", "at most 31,622"),
-    ("point-count --d 2 --p 3 --k 3000000 --constraint unit", "at most 31,622"),
-    ("classnum --disc -1000000000000", "at most 100000000:"),
-    ("tau --upto 1000000000", "between 1 and 10000"),
-    ("cnf --d -1000000000001", "at most 100000000:"),
-    ("global-check --trace 1 --det 1000000007", "at most 100000000:"),
-    (f"global-check --trace 0 --det {3 ** 5000}", "det = 3^5000: prod O_can is about 2^3963 "
-                                                  "and (h/w) * prod O_can about 2^3961; the "
-                                                  "float lhs and rhs need both within the "
-                                                  "float range (at most 1.79769e+308)"),
-    ("trace --k 26 --n 2001 --oracle", "eta/Eisenstein oracle takes n between 1 and 2000, "
-                                       "not n = 2001"),
+# a message that names its cap; trace --k, orbital --d, disc and
+# torus-volume --p used to run for seconds, then fail in int-to-str
+# conversion.  A refused p is a usage error, as a composite p is.
+_PRINT_REFUSAL = "must be at most 12000: printed results are capped in bits"
+
+
+@pytest.mark.parametrize("argv, code, cap", [
+    ("trace --k 1000000 --n 2", 1, _PRINT_REFUSAL),
+    ("trace --k 12 --n 1000000000", 1, "n = 1000000000 must be at most 100000:"),
+    ("orbital --kind u --d 1000000 --p 3", 1, _PRINT_REFUSAL),
+    ("point-count --d 3 --p 2 --k 1000000000 --constraint one", 1,
+     "k = 1000000000 must be at most 14:"),
+    ("point-count --d 2 --p 3 --k 3000000 --constraint unit", 1,
+     "k = 3000000 must be at most 14:"),
+    ("classnum --disc -1000000000000", 1, "at most 100000000:"),
+    ("tau --upto 1000000000", 1, "N = 1000000000 must be at most 10000:"),
+    ("cnf --d -1000000000001", 1, "at most 100000000:"),
+    ("global-check --trace 1 --det 1000000007", 1, "at most 100000000:"),
+    (f"global-check --trace 0 --det {3 ** 5000}", 1, "det = 3^5000: prod O_can is about 2^3963 "
+                                                     "and (h/w) * prod O_can about 2^3961; the "
+                                                     "float lhs and rhs need both within the "
+                                                     "float range (at most 1.79769e+308)"),
+    ("trace --k 26 --n 2001 --oracle", 1, "n = 2001 must be at most 2000: the eta/Eisenstein "
+                                          "oracle multiplies series of n terms"),
+    ("disc --group gln --eigs " + ",".join(map(str, range(2, 802))), 1,
+     "at 800 eigenvalues = 15340800 " + _PRINT_REFUSAL),
+    (f"torus-volume --d -1 --p {2 ** 9689 - 1}", 2,
+     "bits of p = 9689 must be at most 6000: printed results are capped in bits"),
 ], ids=["trace-k", "trace-n", "orbital-d", "point-count-p2", "point-count-p3",
-        "classnum", "tau", "cnf", "global-check", "global-check-float", "trace-oracle-n"])
-def test_over_budget_input_is_refused_at_once(capsys, argv, cap):
+        "classnum", "tau", "cnf", "global-check", "global-check-float", "trace-oracle-n",
+        "disc", "torus-volume-p"])
+def test_over_budget_input_is_refused_at_once(capsys, argv, code, cap):
     start = time.perf_counter()
-    code, out = run_cli(capsys, *argv.split())
+    try:
+        exit_code = main(argv.split())
+        error = json.loads(capsys.readouterr().out)["error"]
+    except SystemExit as exc:   # a usage error: argparse names the argument on stderr
+        exit_code = exc.code
+        error = capsys.readouterr().err.splitlines()[-1]
     assert time.perf_counter() - start < 1.0
-    assert code == 1
-    error = json.loads(out)["error"]
+    assert exit_code == code
     assert cap in error and "Exceeds the limit" not in error
+    if "float range" not in cap:   # the float range of global-check is not a budget
+        assert re.fullmatch(r".+ = \d+ must be at most \d+: .+", error), error
 
 
 # The print budget admits (k // 2) * n.bit_length() and (d + 2) * q.bit_length()
@@ -221,7 +239,7 @@ def test_print_budget_boundary(capsys, argv, admitted):
     if admitted:
         assert code == 0 and "error" not in payload
     else:
-        assert code == 1 and "capped at 12000 bits" in payload["error"]
+        assert code == 1 and _PRINT_REFUSAL in payload["error"]
 
 
 def test_trace_odd_weight_is_usage_error():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import padic_orbits.eichlerselberg as es
+import padic_orbits.quadglobal as qg
 from padic_orbits.eichlerselberg import (
     PowerSeriesZ,
     TraceTerms,
@@ -91,10 +92,11 @@ def test_eigenform_examples():
     assert eigenform_coeffs(16, 2)[1] == 216
     with pytest.raises(ValueError, match="one-dimensional"):
         eigenform_coeffs(24, 5)
-    for N in (0, 2001):
-        with pytest.raises(ValueError, match=rf"eta/Eisenstein oracle takes n between 1 and "
-                                             rf"2000, not n = {N}$"):
-            eigenform_coeffs(12, N)
+    with pytest.raises(ValueError, match=r"^N must be a positive integer$"):
+        eigenform_coeffs(12, 0)
+    with pytest.raises(ValueError, match=r"^n = 2001 must be at most 2000: the eta/Eisenstein "
+                                         r"oracle multiplies series of n terms$"):
+        eigenform_coeffs(12, 2001)
 
 
 def test_eigenform_normalization_failure_is_arithmetic_error(monkeypatch):
@@ -150,15 +152,16 @@ def test_eta_tau_bounds():
 
 
 def test_trace_budget_rejects_large_n_before_work():
-    cap = es._TRACE_CAP
-    with pytest.raises(ValueError, match=rf"at most {cap}: .*O\(n\) class-number work"):
+    cap = qg._ROW_CAP
+    with pytest.raises(ValueError, match=rf"n = {cap + 1} must be at most {cap}: "
+                                         r"the class-number row does O\(n\) work"):
         trace_formula(12, cap + 1)
     with pytest.raises(ValueError, match="at most"):
         trace_formula(12, 10 ** 9)
 
 
 def test_trace_budget_admits_the_cap(monkeypatch):
-    monkeypatch.setattr(es, "_TRACE_CAP", 50)
+    monkeypatch.setattr(qg, "_ROW_CAP", 50)
     assert trace_formula(12, 50).trace == eigenform_coeffs(12, 50)[49]
     with pytest.raises(ValueError, match="at most 50"):
         trace_formula(12, 51)
@@ -169,11 +172,11 @@ def test_print_budget_rejects_large_weight_before_work(monkeypatch):
         raise RuntimeError("row built before the budget check")
 
     monkeypatch.setattr(es, "hurwitz6_row", refuse)
-    with pytest.raises(ValueError, match=r"k = 1000000, n = 2 takes up to 1000000 bits; "
-                                         r"printed results are capped at 12000 bits"):
+    with pytest.raises(ValueError, match=r"^bits of n\^\(k/2\) \(k = 1000000, n = 2\) = 1000000 "
+                                         r"must be at most 12000: printed results are capped"):
         trace_formula(10 ** 6, 2)
     # the largest weight sets the size of every power
-    with pytest.raises(ValueError, match=r"k = 1412, n = 99991 takes up to 12002 bits"):
+    with pytest.raises(ValueError, match=r"\(k = 1412, n = 99991\) = 12002 must be at most"):
         es.hecke_traces(99991, (12, 1412))
 
 

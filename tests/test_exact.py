@@ -5,10 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import padic_orbits.exact as exact
 from padic_orbits.exact import (
     _TRIAL_BOUND,
     QHalfPower,
     _prime_powers,
+    _require_prime,
     abs_p,
     fundamental_discriminant,
     is_fundamental_discriminant,
@@ -252,8 +254,9 @@ _UNFACTORED = (1000003 * 1000033, -(10 ** 18 + 3))
 def test_trial_division_budget_rejects_large_n_before_work(entry):
     start = time.perf_counter()
     for n in _UNFACTORED:
-        with pytest.raises(ValueError, match=rf"trial division stops at divisor {_TRIAL_BOUND}: "
-                                             rf"a cofactor above {_TRIAL_BOUND}\^2"):
+        with pytest.raises(ValueError, match=rf"^trial divisor = {_TRIAL_BOUND + 1} must be at "
+                                             rf"most {_TRIAL_BOUND}: a cofactor above "
+                                             rf"{_TRIAL_BOUND}\^2 with no smaller prime factor"):
             entry(n)
     assert time.perf_counter() - start < 1.0   # dividing to 10^9 would take minutes
 
@@ -277,3 +280,15 @@ def test_trial_division_admits_large_n_that_factors_at_once():
     # a square is not factored: 1000003^2 alone would pass the bound
     assert squarefree_part(Fraction(3, 1000003 ** 2)) == 3
     assert time.perf_counter() - start < 1.0
+
+
+def test_prime_size_is_checked_before_primality(monkeypatch):
+    def refuse(n):
+        raise RuntimeError("primality tested before the size check")
+
+    # p^2 is printed, so p may take half the print budget: 6000 bits
+    with pytest.raises(ValueError, match=r"^\d+ is not prime$"):
+        _require_prime(2 ** 5999)   # 6000 bits: admitted to the primality test
+    monkeypatch.setattr(exact, "is_prime", refuse)
+    with pytest.raises(ValueError, match=r"^bits of p = 6001 must be at most 6000: "):
+        _require_prime(2 ** 6000)

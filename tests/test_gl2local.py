@@ -135,9 +135,9 @@ def test_report_for_class_corrupted_closed_form_is_arithmetic_error(monkeypatch)
 
 def test_print_budget_rejects_deep_classes_before_any_power():
     assert report_for_class(cls(U, 5998, 3)).O_canonical > 3 ** 5998   # (d + 2) * 2 = 12000
-    with pytest.raises(ValueError, match=r"d = 5999, q = 3 takes up to 12002 bits; "
-                                         r"printed results are capped at 12000 bits"):
+    with pytest.raises(ValueError, match=r"^bits of q\^\(d\+2\) \(d = 5999, q = 3\) = 12002 "
+                                         r"must be at most 12000: printed results are capped"):
         cls(U, 5999, 3)
     # trace 0, det 3^12000: the discriminant is -4 times a square, depth 6000 at 3
-    with pytest.raises(ValueError, match=r"d = 6000, q = 3 takes up to 12004 bits"):
+    with pytest.raises(ValueError, match=r"\(d = 6000, q = 3\) = 12004 must be at most 12000"):
         full_report(F(0), F(3 ** 12000), 3)

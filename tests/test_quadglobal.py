@@ -239,7 +239,9 @@ def test_hurwitz6_row_budget_rejects_before_work(monkeypatch, n):
     # the row sizes its tables with isqrt
     monkeypatch.setattr(qg, "isqrt", _refuse)
     start = time.perf_counter()
-    with pytest.raises(ValueError, match=rf"between 1 and {qg._ROW_CAP}: .* O\(n\) work"):
+    refusal = (r"^n must be a positive integer$" if n < 1 else
+               rf"^n = {n} must be at most {qg._ROW_CAP}: the class-number row does O\(n\) work$")
+    with pytest.raises(ValueError, match=refusal):
         hurwitz6_row(n)
     assert time.perf_counter() - start < 1.0
 
@@ -247,7 +249,7 @@ def test_hurwitz6_row_budget_rejects_before_work(monkeypatch, n):
 def test_hurwitz6_row_budget_admits_the_cap(monkeypatch):
     monkeypatch.setattr(qg, "_ROW_CAP", 50)
     assert len(hurwitz6_row(50)) == 15
-    with pytest.raises(ValueError, match="between 1 and 50"):
+    with pytest.raises(ValueError, match="n = 51 must be at most 50"):
         hurwitz6_row(51)
 
 

@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
+import padic_orbits.exact as exact
+import padic_orbits.weylsteinberg as ws
 from padic_orbits.exact import abs_p, ord_p, qhalf
 from padic_orbits.weylsteinberg import (
     Gl2OrbitClass,
@@ -99,6 +101,57 @@ def test_weyl_disc_rejects_non_regular():
         weyl_disc(SpectralData(GroupKind.GLN, (F(2), F(2))))
     with pytest.raises(ValueError, match="regular"):
         weyl_disc(SpectralData(GroupKind.SP2N, (F(1),)))  # 1/1 collides
+
+
+# Small values, where one root can need more bits than its eigenvalues, and
+# wide ones of up to 40 bits above and below.
+_bit_pool = st.one_of(st.fractions(min_value=-3, max_value=3, max_denominator=3),
+                      st.fractions(min_value=-2 ** 40, max_value=2 ** 40,
+                                   max_denominator=2 ** 40))
+
+
+@given(group=st.sampled_from(GroupKind), eigs=st.lists(_bit_pool, min_size=1, max_size=5),
+       nu=_bit_pool)
+def test_print_bound_covers_the_discriminant(group, eigs, nu):
+    # A budget one bit below the bits of D must refuse it: the bound is at least D's size.
+    lie = group in (GroupKind.SLN_LIE, GroupKind.SP2N_LIE)
+    if group is GroupKind.SLN_LIE:
+        eigs = eigs + [-sum(eigs)]
+    assume(lie or all(eigs))
+    assume(group is not GroupKind.GSP2N or nu)
+    s = SpectralData(group, tuple(eigs), nu if group is GroupKind.GSP2N else None)
+    try:
+        D = weyl_disc(s)
+    except ValueError:   # not regular
+        return
+    bits = max(D.numerator.bit_length(), D.denominator.bit_length())
+    assume(bits > 1)   # D = 1 when there is no root
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ws, "_PRINT_BITS", bits - 1)
+        with pytest.raises(ValueError, match=rf"= \d+ must be at most {bits - 1}: "):
+            weyl_disc(s)
+
+
+def test_weyl_disc_print_budget_boundary(monkeypatch):
+    # GL_n on 2, 3, ..., n + 1: the bound 2 R (2 * 6 + 2) passes 12000 bits at n = 30
+    assert weyl_disc(SpectralData(GroupKind.GLN, tuple(map(F, range(2, 31))))) != 0
+
+    def refuse(s):
+        raise RuntimeError("roots built before the budget check")
+
+    monkeypatch.setattr(ws, "_positive_roots", refuse)
+    with pytest.raises(ValueError, match=r"^a bound on the bits of D\(gamma\) at 30 eigenvalues "
+                                         r"= 12180 must be at most 12000: printed results"):
+        weyl_disc(SpectralData(GroupKind.GLN, tuple(map(F, range(2, 32)))))
+
+
+def test_orbit_class_checks_its_print_budget_before_primality(monkeypatch):
+    def refuse(n):
+        raise RuntimeError("primality tested before the print budget")
+
+    monkeypatch.setattr(exact, "is_prime", refuse)
+    with pytest.raises(ValueError, match=r"\(d = 5999, q = 3\) = 12002 must be at most 12000"):
+        Gl2OrbitClass(OrbitKind.UNRAM_ELLIPTIC, 5999, 3)
 
 
 def test_gsp2_matches_gl2():
