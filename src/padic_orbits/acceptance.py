@@ -15,6 +15,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
 from . import eichlerselberg as es
 from . import gl2local, kirillov, localquad, quadglobal, weylsteinberg
@@ -305,7 +306,7 @@ def criterion_8_orbit_forms() -> CriterionResult:
         theta = rng.uniform(0, 2 * math.pi)
         if abs(theta - math.pi) < 0.15:
             theta = (theta + 1.0) % (2 * math.pi - 0.3)
-        err = abs(kirillov.cone_pullback_check(t, theta, 1e-5) - 4.0)
+        err = abs(kirillov.cone_pullback_check(t, theta) - 4.0)
         if err > worst_cone:
             worst_cone, worst_cone_at = err, f"t={t}, theta={theta}"
     if worst_cone > 1e-6:
@@ -332,37 +333,26 @@ def criterion_8_orbit_forms() -> CriterionResult:
 
 
 def criterion_9_jacobians() -> CriterionResult:
-    """Rank-1 derivative identity and the rank-2 Jacobian, 100+ exact points."""
+    """Rank-1 derivative identity and the rank-2 Jacobian, proved on grids: the
+    maps state each identity's degree per variable, and a polynomial vanishing
+    on a product grid with more points per variable is zero (Alon, 1999)."""
     t0 = time.perf_counter()
     failures = []
-    rng = random.Random(57721)
-
-    def rand_frac():
-        return Fraction(rng.randint(-60, 60), rng.randint(1, 40))
-
-    done = 0
-    while done < 100:
-        t = rand_frac()
-        if t in (0, 1, -1):
-            continue
+    for t in map(Fraction, range(2, 102)):
         dual_derivative = weylsteinberg.steinberg_sl2(_Dual(t, 1)).b
         if dual_derivative != weylsteinberg.sl2_jacobian(t):
             failures.append(f"FAIL rank-1 derivative at t={t}")
         if dual_derivative != -(t ** -2) * (1 - t * t):
             failures.append(f"FAIL rank-1 root expression at t={t}")
-        done += 1
 
-    done = 0
     omega_signs = set()
-    while done < 100:
-        t1, t2 = rand_frac(), rand_frac()
-        if 0 in (t1, t2) or t1 in (t2, -t2) or 1 in (t1 * t1, t2 * t2, (t1 * t2) ** 2):
-            continue
+    for t1, t2 in product(range(2, 12), range(20, 30)):
         chk = weylsteinberg.sp4_identity_check(t1, t2)
         if not chk.ok:
             failures.append(f"FAIL rank-2 identity at ({t1}, {t2})")
         omega_signs.add(chk.omega_sign)
-        done += 1
+    if len(omega_signs - {0}) > 1:
+        failures.append("FAIL omega signs +1 and -1 both realized: neither identity is proved")
     return _result("jacobians", "Jacobian identities", t0,
                    [f"100 rank-1 and 100 rank-2 points verified exactly; "
                     f"omega signs realized: {sorted(omega_signs)}"], failures)

@@ -212,7 +212,7 @@ def _cmd_kirillov(args) -> int:
         for _ in range(samples):
             t = rng.uniform(0.5, 3.0)
             theta = rng.uniform(0.2, math.pi - 0.2)
-            worst = max(worst, abs(kirillov.cone_pullback_check(t, theta, 1e-5) - 4.0))
+            worst = max(worst, abs(kirillov.cone_pullback_check(t, theta) - 4.0))
         return _emit({"check": "cone", "samples": samples,
                       "expected": 4.0, "worst_abs_error": worst})
     if args.check == "sphere":

@@ -208,9 +208,6 @@ class PowerSeriesZ:
              for i in range(0, slots, w)], n
         )
 
-    def __getitem__(self, i: int) -> int:
-        return self.coeffs[i]
-
 
 def _pack(coeffs: list[int], w: int) -> int:
     # sum c_i 2^(8 w i), as the difference of the positive and negative parts
@@ -274,8 +271,8 @@ def eigenform_coeffs(k: int, N: int) -> list[int]:
     f = PowerSeriesZ(eta_tau(N), N)   # index 0 of eta_tau is 0, the q^0 term
     if _ONE_DIM_WEIGHTS[k]:
         f = f * _eisenstein(N, *_ONE_DIM_WEIGHTS[k])
-    if f[1] != 1:
-        raise ArithmeticError(f"eigenform at weight {k} not normalized: a_1 = {f[1]}")
+    if f.coeffs[1] != 1:
+        raise ArithmeticError(f"eigenform at weight {k} not normalized: a_1 = {f.coeffs[1]}")
     return f.coeffs[1:]
 
 

@@ -14,29 +14,30 @@ from fractions import Fraction
 
 from .weylsteinberg import GroupKind, SpectralData, weyl_disc
 
+_STEP = 1e-5   # the central-difference step h of the cone check
+
 
 def _cone_point(t: float, theta: float) -> tuple[float, float, float]:
     # Parametrization of the half-cone orbit: (x, y, z) with z^2 + 4 x y = 0.
     return (t * (math.cos(theta) + 1.0), t * (math.cos(theta) - 1.0), t * math.sin(theta))
 
 
-def cone_pullback_check(t: float, theta: float, h: float) -> float:
+def cone_pullback_check(t: float, theta: float) -> float:
     """Pullback coefficient of (4/x) dx ^ dz through the cone parametrization.
 
-    Central differences in (t, theta); the exact coefficient is 4
-    independently of the sample point, so the return value minus 4 is the
-    discretization error, O(h^2).  The chart degenerates along x -> 0
-    (theta near pi), which is excluded.
+    Central differences in (t, theta) of step h = ``_STEP``; the exact
+    coefficient is 4 independently of the sample point, so the return value
+    minus 4 is the discretization error, O(h^2).  The chart degenerates along
+    x -> 0 (theta near pi), which is excluded.
     """
     if t < 0.1:
         raise ValueError("t must be at least 0.1")
-    if not 1e-8 <= h <= 1e-3:
-        raise ValueError("step size h must lie in [1e-8, 1e-3]")
     if abs(theta - math.pi) < 0.1:
         raise ValueError("theta must stay 0.1 away from pi (chart degenerates)")
     x, _, _ = _cone_point(t, theta)
     if abs(x) < 1e-6:
         raise ValueError("chart degeneracy: x coordinate vanished")
+    h = _STEP
     xp_t, _, zp_t = _cone_point(t + h, theta)
     xm_t, _, zm_t = _cone_point(t - h, theta)
     xp_a, _, zp_a = _cone_point(t, theta + h)

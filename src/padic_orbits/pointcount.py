@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import repeat
 from math import isqrt
 from operator import mod, mul
-from typing import Iterator, Optional, Sequence
+from typing import Optional
 
 from .exact import _check_budget, _require_prime, frac_to_json, is_squarefree
 
@@ -73,17 +73,6 @@ def _check_args(p: int, k: int) -> None:
     _check_budget("p^k", p ** k, _ENUM_CAP, _ENUM_WORK)
 
 
-def _fibres(d: int, c: int, m: int) -> Iterator[tuple[int, Sequence[int]]]:
-    """Yield (y, [x mod m with x^2 = c + d y^2 mod m]) for each y mod m, from
-    one pass over the squares mod m.  Only the p = 2 pair sets need the
-    pairs themselves; counts come from ``_congruence_count``."""
-    roots: dict[int, list[int]] = {}
-    for x in range(m):
-        roots.setdefault(x * x % m, []).append(x)
-    for y in range(m):
-        yield y, roots.get((c + d * y * y) % m, ())
-
-
 def _congruence_count(eq: NormEquation, p: int, k: int) -> int:
     """Plain count of pairs mod p^k satisfying eq, from one histogram of squares.
 
@@ -101,15 +90,15 @@ def _congruence_count(eq: NormEquation, p: int, k: int) -> int:
     return (p * p - pairs) * p ** (2 * (k - 1)) if unit else pairs
 
 
-def _norm_one_solution_pairs(d: int, p: int, k: int) -> set[tuple[int, int]]:
-    return {(x, y) for y, xs in _fibres(d, 1, p ** k) for x in xs}
-
-
 def _norm_one_2adic_image(d: int, k: int) -> set[tuple[int, int]]:
-    """Residue pairs mod 2^k of the Z_2-points of x^2 - d y^2 = 1."""
-    deep = _norm_one_solution_pairs(d, 2, k + _P2_LIFT_BUFFER)
+    """Residue pairs mod 2^k of the Z_2-points of x^2 - d y^2 = 1, projected from
+    the pairs mod m = 2^(k + buffer) that one table of square roots mod m gives."""
+    m = 1 << (k + _P2_LIFT_BUFFER)
+    roots: dict[int, list[int]] = {}
+    for x in range(m):
+        roots.setdefault(x * x % m, []).append(x)
     mask = (1 << k) - 1
-    return {(x & mask, y & mask) for x, y in deep}
+    return {(x & mask, y & mask) for y in range(m) for x in roots.get((1 + d * y * y) % m, ())}
 
 
 def count_mod(eq: NormEquation, p: int, k: int) -> int:

@@ -223,7 +223,9 @@ class _Dual:
 def steinberg_sl2(t):
     """Trace coordinate t + 1/t of diag(t, 1/t); the regular locus is a != +-2.
 
-    Exact for int and Fraction t; a ``_Dual`` t also carries the derivative.
+    Exact for int and Fraction t; a ``_Dual`` t also carries the derivative
+    1 - t^-2.  t^2 times it, or times either closed form of it that criterion
+    9 checks, is a polynomial of degree 2.
     """
     if t == 0:
         raise ValueError("t must be nonzero")
@@ -242,7 +244,9 @@ def steinberg_sp4(t1, t2):
     """Invariant coordinates (a, b) of diag(t1, t2, 1/t1, 1/t2) in Sp4.
 
     The characteristic polynomial is (X^2 - s1 X + 1)(X^2 - s2 X + 1) with
-    s_i = t_i + 1/t_i, so (a, b) = (s1 + s2, s1 s2 + 2).
+    s_i = t_i + 1/t_i, so (a, b) = (s1 + s2, s1 s2 + 2).  Its dual-number
+    Jacobian is s1' s1 s2' - s2' s1' s2 with s_i' = 1 - t_i^-2; times
+    t1^3 t2^3 its terms have degrees (4, 3) and (3, 4) in (t1, t2).
     """
     s1, s2 = steinberg_sl2(t1), steinberg_sl2(t2)
     return s1 + s2, s1 * s2 + 2
@@ -275,6 +279,10 @@ def sp4_identity_check(t1: Fraction, t2: Fraction) -> Sp4IdentityCheck:
     1/(t1 t2) = (+-) rho * Jac / prod_{alpha > 0} (1 - alpha), which is the
     coefficientwise form of omega_T = (+-) Delta(gamma) da ^ db.  The sign
     depends on coordinate ordering and is reported, not fixed.
+
+    Cleared of denominators, both have degree at most 4 in each variable:
+    t1^3 t2^3 Jac = (t1^2 - 1)(t2^2 - 1)(t1 t2 - 1)(t1 - t2), and times
+    t1 t2^2 prod, (ii) reads t2 prod = (+-) t1^3 t2^3 Jac.
     """
     t1, t2 = Fraction(t1), Fraction(t2)
     jac = sp4_jacobian(t1, t2)

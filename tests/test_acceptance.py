@@ -10,7 +10,9 @@ published values cannot be reproduced and why.  Everything else must pass.
 import json
 import math
 import re
+from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -76,6 +78,35 @@ def test_criterion_8_orbit_form_numerics():
 
 def test_criterion_9_jacobian_identities():
     _report(acceptance.criterion_9_jacobians(), 5)
+
+
+def test_criterion_9_checks_a_fixed_grid_with_no_sampling(monkeypatch):
+    from padic_orbits import weylsteinberg
+
+    real, points = weylsteinberg.sp4_identity_check, []
+    monkeypatch.setattr(weylsteinberg, "sp4_identity_check",
+                        lambda t1, t2: points.append((t1, t2)) or real(t1, t2))
+    monkeypatch.setattr(acceptance, "random", None)
+    assert acceptance.criterion_9_jacobians().ok
+    assert points == list(product(range(2, 12), range(20, 30)))
+
+
+def test_criterion_9_fails_when_the_grid_realizes_both_omega_signs(monkeypatch):
+    # The omega identity holds up to a sign; with both signs on the grid,
+    # neither signed polynomial identity vanishes on all of it.
+    from padic_orbits import weylsteinberg
+
+    real = weylsteinberg.sp4_identity_check
+
+    def one_flipped(t1, t2):
+        chk = real(t1, t2)
+        return replace(chk, omega_sign=-chk.omega_sign) if (t1, t2) == (2, 20) else chk
+
+    monkeypatch.setattr(weylsteinberg, "sp4_identity_check", one_flipped)
+    result = acceptance.criterion_9_jacobians()
+    assert not result.ok
+    assert result.details[1:] == [
+        "FAIL omega signs +1 and -1 both realized: neither identity is proved"]
 
 
 # The benchmark's golden record of reproduce-all, read here and never written.

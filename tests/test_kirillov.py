@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from padic_orbits import kirillov
 from padic_orbits.kirillov import (
     cone_pullback_check,
     sl2_conversion_coefficient,
@@ -13,28 +14,28 @@ from padic_orbits.kirillov import (
 
 
 def test_cone_pullback_examples():
-    assert abs(cone_pullback_check(1.0, 0.0, 1e-5) - 4.0) <= 1e-8
-    assert abs(cone_pullback_check(2.0, math.pi / 2, 1e-5) - 4.0) <= 1e-8
-    assert abs(cone_pullback_check(1.0, math.pi - 0.15, 1e-5) - 4.0) <= 1e-6
+    assert abs(cone_pullback_check(1.0, 0.0) - 4.0) <= 1e-8
+    assert abs(cone_pullback_check(2.0, math.pi / 2) - 4.0) <= 1e-8
+    assert abs(cone_pullback_check(1.0, math.pi - 0.15) - 4.0) <= 1e-6
 
 
 def test_cone_preconditions():
     with pytest.raises(ValueError):
-        cone_pullback_check(0.01, 0.0, 1e-5)
+        cone_pullback_check(0.01, 0.0)
     with pytest.raises(ValueError):
-        cone_pullback_check(1.0, 0.0, 1e-2)
-    with pytest.raises(ValueError):
-        cone_pullback_check(1.0, math.pi, 1e-5)
+        cone_pullback_check(1.0, math.pi)
 
 
-def test_cone_second_order_convergence():
+def test_cone_second_order_convergence(monkeypatch):
     rng = random.Random(3)
     ratios = []
     for _ in range(20):
         t = rng.uniform(0.5, 3.0)
         theta = rng.uniform(0.3, math.pi - 0.3)
-        errs = [abs(cone_pullback_check(t, theta, h) - 4.0)
-                for h in (1e-3, 5e-4, 2.5e-4)]
+        errs = []
+        for h in (1e-3, 5e-4, 2.5e-4):
+            monkeypatch.setattr(kirillov, "_STEP", h)
+            errs.append(abs(cone_pullback_check(t, theta) - 4.0))
         if errs[1] > 1e-12 and errs[2] > 1e-12:
             ratios.append(errs[0] / errs[1])
             ratios.append(errs[1] / errs[2])
@@ -89,7 +90,6 @@ def test_conversion_report_product():
 def test_conversion_report_violation_is_arithmetic_error(monkeypatch, capsys):
     import json
 
-    import padic_orbits.kirillov as kirillov
     from padic_orbits.cli import main
 
     original = kirillov.sl2_conversion_coefficient
@@ -103,8 +103,6 @@ def test_conversion_report_violation_is_arithmetic_error(monkeypatch, capsys):
 
 def test_conversion_report_witness_is_distance_from_one(monkeypatch):
     # A coefficient of the wrong sign gives product -1, which is 2.0 away from 1.
-    import padic_orbits.kirillov as kirillov
-
     original = kirillov.sl2_conversion_coefficient
     monkeypatch.setattr(kirillov, "sl2_conversion_coefficient", lambda t: -original(t))
     with pytest.raises(ArithmeticError, match=r"off \|D\|\^-1 by 2\.0$"):

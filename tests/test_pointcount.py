@@ -11,7 +11,6 @@ from padic_orbits.pointcount import (
     Constraint,
     NormEquation,
     _norm_one_2adic_image,
-    _norm_one_solution_pairs,
     count_mod,
     digit_table,
     raw_count_mod,
@@ -271,14 +270,13 @@ def test_digit_table_requires_norm_one():
         digit_table(eq(-1, ONE), 9)
 
 
-def test_2adic_image_matches_deeper_projection():
+def test_2adic_image_matches_deeper_projection(monkeypatch):
     # Hensel needs a lift buffer of 2 levels; projecting from 3 levels deeper
     # (the buffer digit_table once used) must give the same image.
-    for d in range(-50, 51):
-        if not is_squarefree(d):
-            continue
-        for k in range(1, 7):
-            mask = (1 << k) - 1
-            deeper = {(x & mask, y & mask) for x, y in _norm_one_solution_pairs(d, 2, k + 3)}
-            assert _norm_one_2adic_image(d, k) == deeper, (d, k)
-            assert digit_table(eq(d, ONE), k).pattern_count == count_mod(eq(d, ONE), 2, k)
+    squarefree = [d for d in range(-50, 51) if is_squarefree(d)]
+    images = {(d, k): _norm_one_2adic_image(d, k) for d in squarefree for k in range(1, 7)}
+    for (d, k), image in images.items():
+        assert digit_table(eq(d, ONE), k).pattern_count == count_mod(eq(d, ONE), 2, k) == len(image)
+    monkeypatch.setattr(pointcount, "_P2_LIFT_BUFFER", 3)
+    for (d, k), image in images.items():
+        assert _norm_one_2adic_image(d, k) == image, (d, k)
