@@ -37,13 +37,16 @@ def _parse_fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
+def _fractions(text: str) -> tuple[Fraction, ...]:
+    return tuple(map(_parse_fraction, text.split(",")))
+
+
 def _prime(text: str) -> int:
     value = int(text)
     try:
-        _require_prime(value)
+        return _require_prime(value)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
-    return value
 
 
 def _even_weight(text: str) -> int:
@@ -78,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("disc", help="Weyl discriminant from eigenvalue data")
     p.set_defaults(run=_cmd_disc)
     p.add_argument("--group", choices=[g.value for g in ws.GroupKind] + ["gl2"], required=True)
-    p.add_argument("--eigs", required=True, help="comma-separated rationals")
+    p.add_argument("--eigs", type=_fractions, required=True, help="comma-separated rationals")
     p.add_argument("--nu", type=_parse_fraction, default=None)
 
     p = sub.add_parser("orbital", help="GL2 orbital integral report")
@@ -141,7 +144,7 @@ def _cmd_point_count(args) -> int:
 
 
 def _cmd_disc(args) -> int:
-    eigs = tuple(Fraction(x) for x in args.eigs.split(","))
+    eigs = args.eigs
     group = args.group
     if group == "gl2":
         group = "gln"

@@ -89,8 +89,8 @@ def hecke_traces(n: int, weights: Iterable[int]) -> dict[int, TraceTerms]:
     ks = sorted(set(weights))
     if not ks or ks[0] < 4 or any(k % 2 for k in ks):
         raise ValueError("weight must be an even integer >= 4")
-    _check_budget(f"bits of n^(k/2) (k = {ks[-1]}, n = {n})", ks[-1] // 2 * n.bit_length(),
-                  _PRINT_BITS, _PRINT_WORK)
+    _check_budget("bits of n^(k/2) (k = {}, n = {})", ks[-1] // 2 * n.bit_length(),
+                  _PRINT_BITS, _PRINT_WORK, ks[-1], n)
     row = hurwitz6_row(n)   # refuses n < 1 and n above its cap before any work
     root = isqrt(n)
     square = root * root == n

@@ -14,20 +14,23 @@ from typing import Union
 
 RationalLike = Union[int, Fraction]
 
-# Deterministic Miller-Rabin witnesses, valid for all n < 3.3e24 (covers 2^64).
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin witnesses: the primes to 41, deterministic below the least
+# strong pseudoprime to all of them, psi_13 = 3317044064679887385961981.
+# At and above psi_13 the test is a strong probable-prime test to 13 bases.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality check for n < 2^64 (and a fair bit beyond)."""
+    """Miller-Rabin to the bases 2..41: exact for n < psi_13 (about 3.3e24),
+    and a strong probable-prime test to those 13 bases from psi_13 on."""
     if n < 2:
         return False
     # Miller-Rabin below needs every witness to be a unit mod n.
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
-    if n < 41 * 41:
-        return True   # a composite below 41^2 has a prime factor of at most 37
+    if n < 43 * 43:
+        return True   # a composite below 43^2 has a prime factor of at most 41
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -45,10 +48,22 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _check_budget(what: str, value: int, cap: int, work: str) -> None:
-    """The package's one budget refusal: what, its value, the cap and the work it bounds."""
+def _check_budget(what: str, value: int, cap: int, work: str, *inputs: int) -> None:
+    """The package's one budget refusal: what, its value, the cap and the work it bounds.
+
+    ``what`` is a format string for ``inputs``.  The message is built only
+    on refusal, and an input or value too long to print is named by its bits.
+    """
     if value > cap:
-        raise ValueError(f"{what} = {value} must be at most {cap}: {work}")
+        raise ValueError(f"{what.format(*map(_printable, inputs))} = {_printable(value)} "
+                         f"must be at most {cap}: {work}")
+
+
+def _printable(n: int) -> str:
+    try:
+        return str(n)
+    except ValueError:   # past Python's limit on int-to-str conversion
+        return f"an integer of {n.bit_length()} bits"
 
 
 # The print budget: the bits of the largest power a printed result may hold.
@@ -58,11 +73,21 @@ _PRINT_BITS = 12_000
 _PRINT_WORK = "printed results are capped in bits, under the 4,300-digit int-to-str limit"
 
 
-def _require_prime(p: int) -> None:
+class _Prime(int):
+    """An int that ``_require_prime`` has tested; it passes again untested."""
+
+    __slots__ = ()
+
+
+def _require_prime(p: int) -> _Prime:
+    """p, tested once; callers pass the result on, so p is not tested again."""
+    if isinstance(p, _Prime):
+        return p
     # p^2 or more is printed wherever p is taken: p's size goes before primality
     _check_budget("bits of p", p.bit_length(), _PRINT_BITS // 2, _PRINT_WORK)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    return _Prime(p)
 
 
 # Trial division tries at most 5 * 10^5 divisors, however large |n| is; any

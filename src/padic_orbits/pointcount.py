@@ -63,14 +63,16 @@ class NormEquation:
         return 2 if self.constraint is Constraint.UNIT_NORM else 1
 
 
-def _check_args(p: int, k: int) -> None:
-    _require_prime(p)
+def _check_args(p: int, k: int) -> int:
+    """Check p and k for a count mod p^k; return p as tested prime."""
+    p = _require_prime(p)
     if k < 1:
         raise ValueError("k must be >= 1")
     # k, then p, bound p^k before it is taken; p^k <= 31,622 needs both
     _check_budget("k", k, _K_MAX, _ENUM_WORK)
     _check_budget("p", p, _ENUM_CAP, _ENUM_WORK)
     _check_budget("p^k", p ** k, _ENUM_CAP, _ENUM_WORK)
+    return p
 
 
 def _congruence_count(eq: NormEquation, p: int, k: int) -> int:
@@ -151,7 +153,7 @@ def volume_profile(eq: NormEquation, p: int, k_max: int) -> CountProfile:
     it is only declared once two consecutive scalings have been observed, and
     then volume = N_{k0} / p^(k0 * dim).
     """
-    _check_args(p, k_max)   # before the first count: the deepest level costs most
+    p = _check_args(p, k_max)   # before the first count: the deepest level costs most
     counts = [(k, count_mod(eq, p, k)) for k in range(1, k_max + 1)]
     raw = counts
     if p == 2 and eq.constraint is Constraint.NORM_ONE:

@@ -103,8 +103,8 @@ def weyl_disc(s: SpectralData) -> Fraction:
          for x in (s.multiplier or Fraction(1), *eigs)]
     symplectic = s.group in (GroupKind.SP2N, GroupKind.GSP2N, GroupKind.SP2N_LIE)
     roots = len(eigs) * (len(eigs) - 1) // 2 * (1 + symplectic) + len(eigs) * symplectic
-    _check_budget(f"a bound on the bits of D(gamma) at {len(eigs)} eigenvalues",
-                  2 * roots * (2 * max(h[1:]) + h[0]), _PRINT_BITS, _PRINT_WORK)
+    _check_budget("a bound on the bits of D(gamma) at {} eigenvalues",
+                  2 * roots * (2 * max(h[1:]) + h[0]), _PRINT_BITS, _PRINT_WORK, len(eigs))
     lie = s.group in (GroupKind.SLN_LIE, GroupKind.SP2N_LIE)
     out = Fraction(1)
     for a in _positive_roots(s):
@@ -140,9 +140,9 @@ class Gl2OrbitClass:
     def __post_init__(self):
         if self.d < 0:
             raise ValueError("depth d must be nonnegative")
-        _check_budget(f"bits of q^(d+2) (d = {self.d}, q = {self.q})",
-                      (self.d + 2) * self.q.bit_length(), _PRINT_BITS, _PRINT_WORK)
-        _require_prime(self.q)
+        _check_budget("bits of q^(d+2) (d = {}, q = {})", (self.d + 2) * self.q.bit_length(),
+                      _PRINT_BITS, _PRINT_WORK, self.d, self.q)
+        object.__setattr__(self, "q", _require_prime(self.q))
 
     def to_json(self) -> dict:
         return {"kind": self.kind.value, "d": self.d, "q": self.q}
@@ -158,7 +158,7 @@ def delta_abs_gl2(trace: Fraction, det: Fraction, p: int) -> tuple[QHalfPower, G
     conductor f has negative valuation (eigenvalues outside the standard
     lattice setting) are rejected.
     """
-    _require_prime(p)
+    p = _require_prime(p)
     trace, det = Fraction(trace), Fraction(det)
     disc = trace * trace - 4 * det
     if disc == 0:

@@ -242,6 +242,38 @@ def test_print_budget_boundary(capsys, argv, admitted):
         assert code == 1 and _PRINT_REFUSAL in payload["error"]
 
 
+# A p that passed the CLI is not tested again by the functions it is passed to.
+@pytest.mark.parametrize("argv, p", [
+    ("torus-volume --d -1 --p 3", 3),
+    ("orbital --trace 1 --det 6 --p 5", 5),
+    ("orbital --kind r --d 1 --p 3", 3),
+    ("point-count --d 2 --p 2 --k 3 --constraint one", 2),
+], ids=["torus-volume", "orbital-element", "orbital-class", "point-count"])
+def test_p_is_tested_for_primality_once(capsys, monkeypatch, argv, p):
+    import padic_orbits.exact as exact
+
+    real, calls = exact.is_prime, []
+    monkeypatch.setattr(exact, "is_prime", lambda n: calls.append(n) or real(n))
+    code, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert calls == [p]
+
+
+# Unparsable input is a usage error (exit 2) whose last stderr line names it.
+@pytest.mark.parametrize("argv, message", [
+    ("disc --group gln --eigs 1/0", "argument --eigs: not a rational number: '1/0'"),
+    ("disc --group gln --eigs ,", "argument --eigs: not a rational number: ''"),
+    # psi_12 = 399165290221 * 798330580441, a strong pseudoprime to the bases 2..37
+    ("torus-volume --d -1 --p 318665857834031151167461",
+     "argument --p: 318665857834031151167461 is not prime"),
+], ids=["eigs-zero-denominator", "eigs-empty", "p-psi-12"])
+def test_bad_input_is_a_usage_error_that_names_it(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(message)
+
+
 def test_trace_odd_weight_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["trace", "--k", "13", "--n", "1"])

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import padic_orbits.exact as exact
+from padic_orbits.eichlerselberg import trace_formula
 from padic_orbits.exact import (
     _TRIAL_BOUND,
     QHalfPower,
@@ -20,6 +22,7 @@ from padic_orbits.exact import (
     qhalf,
     squarefree_part,
 )
+from padic_orbits.weylsteinberg import Gl2OrbitClass, OrbitKind
 
 PRIMES = [2, 3, 5, 7, 11, 13]
 
@@ -216,12 +219,32 @@ def test_qhalf_eq_and_hash_across_even_shifts(c, h, s, q):
 def test_is_prime():
     assert [p for p in range(60) if is_prime(p)] == [
         2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
-    # Every n below 41^2 is decided by the witnesses alone; check past that
+    # Every n below 43^2 is decided by the witnesses alone; check past that
     # square against a sieve.
     sieve = [n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1)) for n in range(2000)]
     assert [is_prime(n) for n in range(2000)] == sieve
     assert is_prime(2 ** 61 - 1)
     assert not is_prime(2 ** 61 + 1)
+
+
+# psi_n, the least strong pseudoprime to the first n prime bases, for every
+# distinct value below psi_13 (psi_7 = psi_8 and psi_9 = psi_10 = psi_11).
+_PSI = [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 3825123056546413051, 318665857834031151167461]
+_PSI_13 = 3317044064679887385961981
+
+
+@pytest.mark.parametrize("n", _PSI)
+def test_is_prime_refuses_every_strong_pseudoprime_below_psi_13(n):
+    assert not is_prime(n)
+
+
+def test_is_prime_is_deterministic_only_below_psi_13():
+    assert 399165290221 * 798330580441 == _PSI[-1]   # psi_12, which 41 now refutes
+    # psi_13 is a strong pseudoprime to every base 2..41: the test is a
+    # probable-prime test from there on, as documented.
+    assert _PSI_13 == 1287836182261 * 2575672364521
+    assert is_prime(_PSI_13)
 
 
 def test_squarefree_helpers():
@@ -280,6 +303,20 @@ def test_trial_division_admits_large_n_that_factors_at_once():
     # a square is not factored: 1000003^2 alone would pass the bound
     assert squarefree_part(Fraction(3, 1000003 ** 2)) == 3
     assert time.perf_counter() - start < 1.0
+
+
+# Inputs past Python's int-to-str limit, which only the Python API can pass:
+# the refusal names them by their bits instead of failing to print them.
+@pytest.mark.parametrize("build, label", [
+    (lambda: trace_formula(12, 10 ** 5000), "(k = 12, n = an integer of 16610 bits)"),
+    (lambda: Gl2OrbitClass(OrbitKind.HYPERBOLIC, 0, 2 ** 20000 + 1),
+     "(d = 0, q = an integer of 20001 bits)"),
+], ids=["trace_formula", "Gl2OrbitClass"])
+def test_budget_refusal_names_an_unprintable_input_by_its_bits(build, label):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert re.fullmatch(r".+ = \d+ must be at most \d+: .+", str(exc.value)), exc.value
+    assert label in str(exc.value)
 
 
 def test_prime_size_is_checked_before_primality(monkeypatch):
