@@ -94,7 +94,6 @@ def _readme_commands():
 
 # The imported package's files, named as its code objects name them.
 _PACKAGE_FILES = sorted(Path(padic_orbits.__file__).parent.glob("*.py"))
-_PARAMETER_FLAGS = inspect.CO_VARARGS | inspect.CO_VARKEYWORDS
 
 
 def _parameters(code):
@@ -102,8 +101,9 @@ def _parameters(code):
 
     A method's self is the object it runs on, not a setting, so it is left out.
     """
-    flags = code.co_flags & _PARAMETER_FLAGS
-    count = code.co_argcount + code.co_kwonlyargcount + bin(flags).count("1")
+    count = (code.co_argcount + code.co_kwonlyargcount
+             + bool(code.co_flags & inspect.CO_VARARGS)
+             + bool(code.co_flags & inspect.CO_VARKEYWORDS))
     return [name for name in code.co_varnames[:count] if name != "self"]
 
 
@@ -113,7 +113,7 @@ def program_run():
     and one pass of the hecke and oracles workloads.
 
     Returns the code objects entered, and for each package function
-    {code: (calls, {parameter: the value of its first call}, varied)}, where
+    {code: [calls, {parameter: the value of its first call}, varied]}, where
     varied holds the parameters that some later call passed a value != to.
     """
     spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
