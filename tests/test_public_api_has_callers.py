@@ -128,8 +128,10 @@ def program_run():
         code = frame.f_code
         entered.add(code)
         if code not in starts:   # where a call starts, or None outside the package
-            starts[code] = next(i.offset for i in dis.get_instructions(code)
-                                if i.opname == "RESUME") if _key(code) in names else None
+            # From 3.11 a call starts at the first RESUME; before it, a fresh
+            # frame has f_lasti -1 and a resumed generator a lasti >= 0.
+            starts[code] = next((i.offset for i in dis.get_instructions(code)
+                                 if i.opname == "RESUME"), -1) if _key(code) in names else None
         if frame.f_lasti != starts[code]:
             return   # not the package's, or a generator resumed with rebound parameters
         args = frame.f_locals
