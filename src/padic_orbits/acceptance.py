@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 from . import eichlerselberg as es
 from . import gl2local, kirillov, localquad, quadglobal, weylsteinberg
@@ -33,8 +33,7 @@ from .pointcount import Constraint, DigitConstraint, NormEquation, digit_table, 
 from .weylsteinberg import OrbitKind, _Dual
 
 
-@dataclass
-class Discrepancy:
+class Discrepancy(NamedTuple):
     check: str
     reference: str
     computed: str
@@ -49,14 +48,13 @@ class Discrepancy:
         }
 
 
-@dataclass
-class CriterionResult:
+class CriterionResult(NamedTuple):
     key: str
     title: str
     ok: bool
     seconds: float
-    details: list = field(default_factory=list)
-    discrepancies: list = field(default_factory=list)
+    details: list
+    discrepancies: list
 
     def to_json(self) -> dict:
         return {
@@ -373,5 +371,5 @@ CRITERIA = (
 
 def run_all(skip: set | None = None) -> list[CriterionResult]:
     skip = skip or set()
-    return [CriterionResult(key, f"{key} (skipped)", True, 0.0, ["skipped"]) if key in skip
+    return [CriterionResult(key, f"{key} (skipped)", True, 0.0, ["skipped"], []) if key in skip
             else fn() for key, fn in CRITERIA]

@@ -17,11 +17,11 @@ product beyond Delta.  All of it is exact integer arithmetic.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import isqrt
 from operator import mul
+from typing import NamedTuple
 
 from .exact import _PRINT_BITS, _PRINT_WORK, _check_budget, frac_to_json
 from .quadglobal import hurwitz6_row
@@ -56,8 +56,7 @@ def gegenbauer_like(t: int, n: int, js: Sequence[int]) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class TraceTerms:
+class TraceTerms(NamedTuple):
     k: int
     n: int
     identity_term: Fraction

@@ -7,7 +7,6 @@ represents such scalars exactly; plain rationals are ``fractions.Fraction``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import Union
@@ -173,7 +172,6 @@ def _ord(n: int, p: int) -> int:
     return v
 
 
-@dataclass(frozen=True)
 class QHalfPower:
     """An exact scalar coeff * q^(half_exp / 2) relative to a fixed q.
 
@@ -186,19 +184,25 @@ class QHalfPower:
     odd power of sqrt(q) equals its rational, and so equals such a value at
     any other q; values with an odd power are equal only at the same q.
     Equality is therefore an equivalence, and ``__hash__`` agrees with it.
+    The fields are read-only, since the hash is taken from them.  The class
+    is not a tuple: a tuple base would make ``a + b`` concatenate and
+    ``a < b`` compare.
     """
 
-    coeff: Fraction
-    half_exp: int
-    q: int
+    __slots__ = ("coeff", "half_exp", "q")
 
-    def __post_init__(self):
-        if not isinstance(self.coeff, Fraction):
-            object.__setattr__(self, "coeff", Fraction(self.coeff))
-        if self.q < 1:
+    def __init__(self, coeff: RationalLike, half_exp: int, q: int):
+        if not isinstance(coeff, Fraction):
+            coeff = Fraction(coeff)
+        if q < 1:
             raise ValueError("q must be a positive integer")
-        if self.coeff == 0 and self.half_exp != 0:
-            object.__setattr__(self, "half_exp", 0)
+        _set = object.__setattr__
+        _set(self, "coeff", coeff)
+        _set(self, "half_exp", half_exp if coeff else 0)
+        _set(self, "q", q)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     # -- canonical value key: absorb the even part of the exponent ------
     def _key(self):

@@ -9,8 +9,8 @@ is an actual check rather than a definition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact import QHalfPower, _require_prime, frac_to_json, qhalf
 from .weylsteinberg import Gl2OrbitClass, OrbitKind, delta_abs_gl2
@@ -74,8 +74,7 @@ def dgbar_scale(q: int) -> Fraction:
     return (1 - 1 / qq) * (1 + 1 / qq)
 
 
-@dataclass(frozen=True)
-class OrbitalReport:
+class OrbitalReport(NamedTuple):
     orbit_class: Gl2OrbitClass
     abs_weyl_disc: QHalfPower
     O_canonical: Fraction

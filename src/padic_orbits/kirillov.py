@@ -9,8 +9,8 @@ compare magnitudes and report the realized sign.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .weylsteinberg import GroupKind, SpectralData, weyl_disc
 
@@ -73,8 +73,7 @@ def sphere_density_spherical(phi: float, theta: float) -> float:
     return abs(_form_value(p, d_phi, d_theta))
 
 
-@dataclass(frozen=True)
-class ConversionReport:
+class ConversionReport(NamedTuple):
     t: float
     coefficient: float       # geometric-form / orbit-form coefficient ratio
     weyl_disc: float         # D(t h) = -4 t^2, exact via eigenvalues

@@ -13,9 +13,8 @@ closed form is built as one Fraction of two integer polynomials in p, such as
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .exact import (
     QHalfPower,
@@ -39,14 +38,18 @@ class P2Detail(enum.Enum):
     TWICE_UNIT = "TwiceUnit"
 
 
-@dataclass(frozen=True)
-class LocalQuadType:
+class _LocalQuadType(NamedTuple):
     kind: QuadKind
     p2_detail: Optional[P2Detail] = None
 
-    def __post_init__(self):
-        if self.p2_detail is not None and self.kind is not QuadKind.RAMIFIED:
+
+class LocalQuadType(_LocalQuadType):
+    __slots__ = ()
+
+    def __new__(cls, kind: QuadKind, p2_detail: Optional[P2Detail] = None):
+        if p2_detail is not None and kind is not QuadKind.RAMIFIED:
             raise ValueError("p2_detail only applies to the ramified kind")
+        return super().__new__(cls, kind, p2_detail)
 
 
 def kronecker_symbol(a: int, n: int) -> int:
@@ -130,8 +133,7 @@ def norm1_artin_L_at_1(t: LocalQuadType, q: int) -> Fraction:
     return Fraction(1)  # inertia invariants vanish
 
 
-@dataclass(frozen=True)
-class TorusVolumeReport:
+class TorusVolumeReport(NamedTuple):
     """Volume data for the maximal compact subgroup of the unit-group torus."""
 
     local_type: LocalQuadType
@@ -206,8 +208,7 @@ def norm1_volume(t: LocalQuadType, p: int) -> QHalfPower:
     raise ValueError("norm-one volume is stated for the unramified and ramified kinds")
 
 
-@dataclass(frozen=True)
-class Norm1VolumeReport:
+class Norm1VolumeReport(NamedTuple):
     local_type: LocalQuadType
     vol_omega_T_Tc: QHalfPower
     L_factor_at_1: Fraction

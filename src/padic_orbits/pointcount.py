@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import isqrt
 from operator import mod, mul
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .exact import _check_budget, _require_prime, frac_to_json, is_squarefree
 
@@ -49,14 +48,18 @@ class Constraint(enum.Enum):
     NORM_ONE = "one"     # x^2 - d y^2 = 1, a smooth curve (dimension 1)
 
 
-@dataclass(frozen=True)
-class NormEquation:
+class _NormEquation(NamedTuple):
     epsilon: int
     constraint: Constraint
 
-    def __post_init__(self):
-        if not is_squarefree(self.epsilon):
-            raise ValueError(f"epsilon = {self.epsilon} must be squarefree")
+
+class NormEquation(_NormEquation):
+    __slots__ = ()
+
+    def __new__(cls, epsilon: int, constraint: Constraint):
+        if not is_squarefree(epsilon):
+            raise ValueError(f"epsilon = {epsilon} must be squarefree")
+        return super().__new__(cls, epsilon, constraint)
 
     @property
     def dim(self) -> int:
@@ -123,8 +126,7 @@ def raw_count_mod(eq: NormEquation, p: int, k: int) -> int:
     return _congruence_count(eq, p, k)
 
 
-@dataclass(frozen=True)
-class CountProfile:
+class CountProfile(NamedTuple):
     p: int
     equation: NormEquation
     counts: tuple[tuple[int, int], ...]
@@ -176,8 +178,7 @@ def volume_profile(eq: NormEquation, p: int, k_max: int) -> CountProfile:
 # 2-adic digit tables
 
 
-@dataclass(frozen=True)
-class DigitConstraint:
+class DigitConstraint(NamedTuple):
     var: str          # "x" or "y"
     index: int
     status: str       # "forced" | "free" | "affine" | "irregular"
@@ -202,8 +203,7 @@ class DigitConstraint:
         return f"{name} {self.status}"
 
 
-@dataclass(frozen=True)
-class DigitComponent:
+class DigitComponent(NamedTuple):
     anchor: tuple[int, int]   # (x0, y0)
     rows: tuple[DigitConstraint, ...]
     pattern_count: int
@@ -218,8 +218,7 @@ class DigitComponent:
         }
 
 
-@dataclass(frozen=True)
-class DigitTable:
+class DigitTable(NamedTuple):
     equation: NormEquation
     depth: int
     rows: tuple[DigitConstraint, ...]          # full solution set

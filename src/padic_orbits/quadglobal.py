@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, filterfalse, islice, repeat
 from math import gcd, isqrt
 from operator import mod
+from typing import NamedTuple
 
 from .exact import (
     _check_budget,
@@ -236,8 +236,7 @@ def hurwitz_hw(D: int) -> Fraction:
     return Fraction(class_number(D), u)
 
 
-@dataclass(frozen=True)
-class QuadFieldData:
+class QuadFieldData(NamedTuple):
     d: int
     disc: int
     w: int
@@ -304,8 +303,7 @@ def cnf_target(K: QuadFieldData) -> float:
     return 2 * math.pi * K.h / (K.w * math.sqrt(abs(K.disc)))
 
 
-@dataclass(frozen=True)
-class CnfReport:
+class CnfReport(NamedTuple):
     field: QuadFieldData
     L_value: float
     err_bound: float
@@ -339,8 +337,7 @@ def cnf_report(d: int) -> CnfReport:
 # Global identity
 
 
-@dataclass(frozen=True)
-class GlobalIdentityReport:
+class GlobalIdentityReport(NamedTuple):
     trace: int
     det: int
     field: QuadFieldData

@@ -9,9 +9,8 @@ the measure conversions elsewhere in the package.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .exact import (
     _PRINT_BITS,
@@ -35,8 +34,13 @@ class GroupKind(enum.Enum):
     SP2N_LIE = "sp-lie"
 
 
-@dataclass(frozen=True)
-class SpectralData:
+class _SpectralData(NamedTuple):
+    group: GroupKind
+    eigenvalues: tuple[Fraction, ...]
+    multiplier: Optional[Fraction] = None
+
+
+class SpectralData(_SpectralData):
     """Eigenvalue data of a regular semisimple element.
 
     For the symplectic families only the first n eigenvalues are given; the
@@ -44,28 +48,26 @@ class SpectralData:
     the similitude character value nu and is required exactly for GSP2N.
     """
 
-    group: GroupKind
-    eigenvalues: tuple[Fraction, ...]
-    multiplier: Optional[Fraction] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        eigs = tuple(Fraction(x) for x in self.eigenvalues)
-        object.__setattr__(self, "eigenvalues", eigs)
+    def __new__(cls, group: GroupKind, eigenvalues, multiplier=None):
+        eigs = tuple(Fraction(x) for x in eigenvalues)
         if not eigs:
             raise ValueError("need at least one eigenvalue")
-        if self.group is GroupKind.GSP2N:
-            if self.multiplier is None:
+        if group is GroupKind.GSP2N:
+            if multiplier is None:
                 raise ValueError("GSp requires the multiplier nu")
-            object.__setattr__(self, "multiplier", Fraction(self.multiplier))
-            if self.multiplier == 0:
+            multiplier = Fraction(multiplier)
+            if multiplier == 0:
                 raise ValueError("multiplier must be nonzero")
-        elif self.multiplier is not None:
+        elif multiplier is not None:
             raise ValueError("multiplier only applies to GSp")
-        if self.group in (GroupKind.GLN, GroupKind.SP2N, GroupKind.GSP2N):
+        if group in (GroupKind.GLN, GroupKind.SP2N, GroupKind.GSP2N):
             if any(x == 0 for x in eigs):
                 raise ValueError("group eigenvalues must be nonzero")
-        if self.group is GroupKind.SLN_LIE and sum(eigs) != 0:
+        if group is GroupKind.SLN_LIE and sum(eigs) != 0:
             raise ValueError("sl eigenvalues must sum to zero")
+        return super().__new__(cls, group, eigs, multiplier)
 
 
 def _positive_roots(s: SpectralData) -> list[Fraction]:
@@ -131,18 +133,21 @@ _KIND_FROM_QUAD = {
 }
 
 
-@dataclass(frozen=True)
-class Gl2OrbitClass:
+class _Gl2OrbitClass(NamedTuple):
     kind: OrbitKind
     d: int
     q: int
 
-    def __post_init__(self):
-        if self.d < 0:
+
+class Gl2OrbitClass(_Gl2OrbitClass):
+    __slots__ = ()
+
+    def __new__(cls, kind: OrbitKind, d: int, q: int):
+        if d < 0:
             raise ValueError("depth d must be nonnegative")
-        _check_budget("bits of q^(d+2) (d = {}, q = {})", (self.d + 2) * self.q.bit_length(),
-                      _PRINT_BITS, _PRINT_WORK, self.d, self.q)
-        object.__setattr__(self, "q", _require_prime(self.q))
+        _check_budget("bits of q^(d+2) (d = {}, q = {})", (d + 2) * q.bit_length(),
+                      _PRINT_BITS, _PRINT_WORK, d, q)
+        return super().__new__(cls, kind, d, _require_prime(q))
 
     def to_json(self) -> dict:
         return {"kind": self.kind.value, "d": self.d, "q": self.q}
@@ -260,8 +265,7 @@ def sp4_jacobian(t1: Fraction, t2: Fraction) -> Fraction:
     return (1 - t1 ** -2) * (1 - t2 ** -2) * (1 - 1 / (t1 * t2)) * (t1 - t2)
 
 
-@dataclass(frozen=True)
-class Sp4IdentityCheck:
+class Sp4IdentityCheck(NamedTuple):
     jacobian_matches: bool
     omega_matches: bool
     omega_sign: int  # realized sign in omega_T = (+-) Delta * da ^ db

@@ -10,7 +10,6 @@ published values cannot be reproduced and why.  Everything else must pass.
 import json
 import math
 import re
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -100,7 +99,7 @@ def test_criterion_9_fails_when_the_grid_realizes_both_omega_signs(monkeypatch):
 
     def one_flipped(t1, t2):
         chk = real(t1, t2)
-        return replace(chk, omega_sign=-chk.omega_sign) if (t1, t2) == (2, 20) else chk
+        return chk._replace(omega_sign=-chk.omega_sign) if (t1, t2) == (2, 20) else chk
 
     monkeypatch.setattr(weylsteinberg, "sp4_identity_check", one_flipped)
     result = acceptance.criterion_9_jacobians()

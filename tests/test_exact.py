@@ -116,6 +116,24 @@ def test_qhalf_mixed_parity_add_rejected():
         a + b
 
 
+@pytest.mark.parametrize("op", [
+    lambda a, b: a + b, lambda a, b: a < b, lambda a, b: len(a), lambda a, b: iter(a),
+], ids=["add", "lt", "len", "iter"])
+def test_qhalf_is_not_a_tuple(op):
+    # A tuple base would make + concatenate, < compare and len and iter succeed.
+    with pytest.raises(TypeError):
+        op(qhalf(1, 3), qhalf(2, 3))
+
+
+def test_qhalf_fields_are_read_only():
+    # The hash is taken from the fields, so they cannot change under a set.
+    a = qhalf(3, 5)
+    for field in ("coeff", "half_exp", "q"):
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{field}'$"):
+            setattr(a, field, 1)
+    assert a == 3 and hash(a) == hash(3)
+
+
 def test_qhalf_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         qhalf(1, 3) / QHalfPower(0, 0, 3)

@@ -58,9 +58,12 @@ def test_no_public_name_is_test_only():
 
 # Members that no program path enters, each kept for a reason.
 _NEVER_ENTERED = {
-    # QHalfPower defines __eq__, so without its own __hash__ the frozen
-    # dataclass would generate a field hash that disagrees with ==.
+    # QHalfPower defines __eq__, and a class that defines __eq__ without
+    # __hash__ is unhashable.
     "exact.QHalfPower.__hash__",
+    # Refuses assignment, since the hash is taken from the fields; the
+    # program assigns none.
+    "exact.QHalfPower.__setattr__",
     # Formats a digit row, which only the FAIL lines of criterion 2 print.
     "pointcount.DigitConstraint.__repr__",
 }
@@ -99,12 +102,13 @@ _PACKAGE_FILES = sorted(Path(padic_orbits.__file__).parent.glob("*.py"))
 def _parameters(code):
     """The names of code's parameters, *args and **kwargs included.
 
-    A method's self is the object it runs on, not a setting, so it is left out.
+    A method's self is the object it runs on, and the cls of a __new__ the
+    class it builds, not a setting, so both are left out.
     """
     count = (code.co_argcount + code.co_kwonlyargcount
              + bool(code.co_flags & inspect.CO_VARARGS)
              + bool(code.co_flags & inspect.CO_VARKEYWORDS))
-    return [name for name in code.co_varnames[:count] if name != "self"]
+    return [name for name in code.co_varnames[:count] if name not in ("self", "cls")]
 
 
 @pytest.fixture(scope="module")

@@ -377,14 +377,12 @@ def test_global_identity_off_s_triviality():
 
 
 def test_global_identity_off_s_failure_is_arithmetic_error(monkeypatch):
-    import dataclasses
-
     import padic_orbits.quadglobal as qg
 
     original = qg.full_report
 
     def corrupted(trace, det, p):
-        return dataclasses.replace(original(trace, det, p), O_canonical=Fraction(2))
+        return original(trace, det, p)._replace(O_canonical=Fraction(2))
 
     monkeypatch.setattr(qg, "full_report", corrupted)
     with pytest.raises(ArithmeticError, match="off-S canonical integral != 1 at p = 5"):
