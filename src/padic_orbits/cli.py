@@ -251,9 +251,26 @@ def _cmd_reproduce_all(args) -> int:
     return 0 if all_ok else 1
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Join each option and a following "-<digit>..." token into "--opt=value".
+
+    argparse reads a token that starts with "-" as an option unless it looks
+    like a plain negative number, so "--trace -1/2" and "--eigs -1,2" would
+    not parse; joined, they parse as "--trace=-1/2" and "--eigs=-1,2" do.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if (arg[:1] == "-" and arg[1:2].isdigit() and out
+                and out[-1].startswith("--") and "=" not in out[-1]):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.run(args)
     except (ValueError, ZeroDivisionError, KeyError) as exc:

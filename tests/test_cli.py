@@ -274,6 +274,18 @@ def test_bad_input_is_a_usage_error_that_names_it(capsys, argv, message):
     assert capsys.readouterr().err.splitlines()[-1].endswith(message)
 
 
+# argparse reads "-1/2" as an option; main joins it to the option before it.
+@pytest.mark.parametrize("spaced, joined", [
+    ("orbital --trace -1/2 --det 1 --p 3", "orbital --trace=-1/2 --det 1 --p 3"),
+    ("orbital --trace -1/2 --det -3/4 --p 5", "orbital --trace=-1/2 --det=-3/4 --p 5"),
+    ("disc --group gln --eigs -1,2", "disc --group gln --eigs=-1,2"),
+], ids=["trace", "trace-and-det", "eigs"])
+def test_negative_rational_may_follow_its_option(capsys, spaced, joined):
+    code, out = run_cli(capsys, *spaced.split())
+    assert code == 0
+    assert run_cli(capsys, *joined.split()) == (code, out)
+
+
 def test_trace_odd_weight_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["trace", "--k", "13", "--n", "1"])
