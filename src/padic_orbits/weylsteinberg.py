@@ -50,7 +50,7 @@ class SpectralData(_SpectralData):
 
     __slots__ = ()
 
-    def __new__(cls, group: GroupKind, eigenvalues, multiplier=None):
+    def __new__(cls, group: GroupKind, eigenvalues, multiplier: Optional[Fraction] = None):
         eigs = tuple(Fraction(x) for x in eigenvalues)
         if not eigs:
             raise ValueError("need at least one eigenvalue")

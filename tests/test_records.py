@@ -33,8 +33,8 @@ from padic_orbits.pointcount import (
     volume_profile,
 )
 from padic_orbits.weylsteinberg import (
-    GroupKind,
     Gl2OrbitClass,
+    GroupKind,
     OrbitKind,
     SpectralData,
     sp4_identity_check,
