@@ -10,8 +10,6 @@ Everything else must pass exactly.
 
 from __future__ import annotations
 
-import math
-import random
 import time
 from fractions import Fraction
 from itertools import product
@@ -297,36 +295,17 @@ def criterion_8_orbit_forms() -> CriterionResult:
     """Numeric checks of the orbit 2-forms and the conversion coefficient."""
     t0 = time.perf_counter()
     failures = []
-    rng = random.Random(20240817)
-    worst_cone, worst_cone_at = 0.0, None
-    for _ in range(20):
-        t = rng.uniform(0.5, 3.0)
-        theta = rng.uniform(0, 2 * math.pi)
-        if abs(theta - math.pi) < 0.15:
-            theta = (theta + 1.0) % (2 * math.pi - 0.3)
-        err = abs(kirillov.cone_pullback_check(t, theta) - 4.0)
-        if err > worst_cone:
-            worst_cone, worst_cone_at = err, f"t={t}, theta={theta}"
-    if worst_cone > 1e-6:
-        failures.append(f"FAIL cone pullback error {worst_cone} at {worst_cone_at}")
-    worst_sphere, worst_sphere_at = 0.0, None
-    for _ in range(100):
-        phi = rng.uniform(0.1, math.pi - 0.1)
-        theta = rng.uniform(0, 2 * math.pi)
-        err = abs(kirillov.sphere_density_spherical(phi, theta) - 2 * math.sin(phi))
-        if err > worst_sphere:
-            worst_sphere, worst_sphere_at = err, f"phi={phi}, theta={theta}"
-    if worst_sphere > 1e-8:
-        failures.append(f"FAIL sphere density error {worst_sphere} at {worst_sphere_at}")
-    signs = set()
-    for t in (0.5, 1.0, 2.0, 5.0):
-        rep = kirillov.sl2_conversion_report(t)
-        if abs(abs(rep.coefficient) - 1.0 / abs(rep.weyl_disc)) > 1e-12:
-            failures.append(f"FAIL conversion magnitude at t={t}")
-        signs.add(rep.realized_sign)
+    cone, sphere, conversions = kirillov.orbit_form_samples()
+    if cone.error > 1e-6:
+        failures.append(f"FAIL cone pullback error {cone.error} at {cone.witness}")
+    if sphere.error > 1e-8:
+        failures.append(f"FAIL sphere density error {sphere.error} at {sphere.witness}")
+    failures += [f"FAIL conversion magnitude at t={rep.t}" for rep in conversions
+                 if abs(abs(rep.coefficient) - 1.0 / abs(rep.weyl_disc)) > 1e-12]
+    signs = sorted({rep.realized_sign for rep in conversions})
     return _result("orbit-forms", "orbit 2-form numerics", t0,
-                   [f"cone worst {worst_cone:.2e}; sphere worst {worst_sphere:.2e}; "
-                    f"conversion coefficient = +D^-1 exactly (realized signs {sorted(signs)})"],
+                   [f"cone worst {cone.error:.2e}; sphere worst {sphere.error:.2e}; "
+                    f"conversion coefficient = +D^-1 exactly (realized signs {signs})"],
                    failures)
 
 

@@ -173,10 +173,11 @@ def _cmd_orbital(args) -> int:
 
 
 def _cmd_classnum(args) -> int:
+    h = quadglobal.class_number(args.disc)
     return _emit({
         "disc": args.disc,
-        "class_number": str(quadglobal.class_number(args.disc)),
-        "weighted_class_number": frac_to_json(quadglobal.hurwitz_hw(args.disc)),
+        "class_number": str(h),
+        "weighted_class_number": frac_to_json(quadglobal.hurwitz_hw(args.disc, h)),
     })
 
 
@@ -205,30 +206,12 @@ def _cmd_tau(args) -> int:
 
 
 def _cmd_kirillov(args) -> int:
-    import math
-    import random
-
-    rng = random.Random(11)
-    samples = 20
-    if args.check == "cone":
-        worst = 0.0
-        for _ in range(samples):
-            t = rng.uniform(0.5, 3.0)
-            theta = rng.uniform(0.2, math.pi - 0.2)
-            worst = max(worst, abs(kirillov.cone_pullback_check(t, theta) - 4.0))
-        return _emit({"check": "cone", "samples": samples,
-                      "expected": 4.0, "worst_abs_error": worst})
-    if args.check == "sphere":
-        worst = 0.0
-        for _ in range(samples):
-            phi = rng.uniform(0.1, math.pi - 0.1)
-            theta = rng.uniform(0.0, 2 * math.pi)
-            worst = max(worst,
-                        abs(kirillov.sphere_density_spherical(phi, theta) - 2 * math.sin(phi)))
-        return _emit({"check": "sphere", "samples": samples,
-                      "expected": "2 sin(phi)", "worst_abs_error": worst})
-    reports = [kirillov.sl2_conversion_report(t).to_json() for t in (0.5, 1.0, 2.0, 5.0)]
-    return _emit({"check": "conversion", "reports": reports})
+    cone, sphere, conversions = kirillov.orbit_form_samples()
+    if args.check == "conversion":
+        return _emit({"check": "conversion", "reports": [r.to_json() for r in conversions]})
+    worst, expected = (cone, 4.0) if args.check == "cone" else (sphere, "2 sin(phi)")
+    return _emit({"check": args.check, "samples": worst.samples, "expected": expected,
+                  "worst_abs_error": worst.error})
 
 
 def _cmd_reproduce_all(args) -> int:

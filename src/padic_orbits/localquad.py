@@ -124,13 +124,11 @@ def artin_L_at_1(t: LocalQuadType, q: int) -> Fraction:
 
 
 def norm1_artin_L_at_1(t: LocalQuadType, q: int) -> Fraction:
-    """Same L-factor for the rank-1 norm-one subtorus: q / (q - 1) split,
-    (1 + 1/q)^-1 = q / (q + 1) unramified, 1 ramified."""
-    if t.kind is QuadKind.SPLIT:
-        return Fraction(q, q - 1)
-    if t.kind is QuadKind.UNRAMIFIED:
-        return Fraction(q, q + 1)
-    return Fraction(1)  # inertia invariants vanish
+    """Same L-factor for the rank-1 norm-one subtorus T^1.  L-factors multiply
+    along the exact sequence 1 -> T^1 -> T -> G_m -> 1 (the norm map), and
+    L(G_m) = q / (q - 1), so this is q / (q - 1) split, q / (q + 1)
+    unramified and 1 ramified."""
+    return artin_L_at_1(t, q) * Fraction(q - 1, q)
 
 
 class TorusVolumeReport(NamedTuple):

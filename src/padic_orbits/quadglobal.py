@@ -230,10 +230,14 @@ def class_number_scan(D: int) -> int:
     return count
 
 
-def hurwitz_hw(D: int) -> Fraction:
-    """Class number weighted by half the unit count: h/3 at -3, h/2 at -4, else h."""
-    u = 3 if D == -3 else 2 if D == -4 else 1
-    return Fraction(class_number(D), u)
+def _roots_of_unity(D: int) -> int:
+    """w(D), the roots of unity in the order of discriminant D: 6 at -3, 4 at -4, else 2."""
+    return 6 if D == -3 else 4 if D == -4 else 2
+
+
+def hurwitz_hw(D: int, h: int) -> Fraction:
+    """The class number h of D weighted by half its unit count: 2h / w(D)."""
+    return Fraction(2 * h, _roots_of_unity(D))
 
 
 class QuadFieldData(NamedTuple):
@@ -250,8 +254,7 @@ def quad_field_data(d: int) -> QuadFieldData:
     if d >= 0 or not is_squarefree(d):
         raise ValueError("d must be a negative squarefree integer")
     disc = fundamental_discriminant(d)
-    w = 4 if d == -1 else 6 if d == -3 else 2
-    return QuadFieldData(d, disc, w, class_number(disc))
+    return QuadFieldData(d, disc, _roots_of_unity(disc), class_number(disc))
 
 
 def finite_adelic_volume(K: QuadFieldData) -> Fraction:

@@ -85,7 +85,7 @@ def test_criterion_9_checks_a_fixed_grid_with_no_sampling(monkeypatch):
     real, points = weylsteinberg.sp4_identity_check, []
     monkeypatch.setattr(weylsteinberg, "sp4_identity_check",
                         lambda t1, t2: points.append((t1, t2)) or real(t1, t2))
-    monkeypatch.setattr(acceptance, "random", None)
+    assert not hasattr(acceptance, "random")
     assert acceptance.criterion_9_jacobians().ok
     assert points == list(product(range(2, 12), range(20, 30)))
 

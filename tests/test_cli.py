@@ -1,6 +1,8 @@
+import ast
 import json
 import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -87,11 +89,16 @@ def test_orbital_by_class(capsys):
     assert json.loads(out)["O_canonical"] == "4"
 
 
-def test_classnum(capsys):
+def test_classnum(capsys, monkeypatch):
+    import padic_orbits.quadglobal as qg
+
+    walks, walk = [], qg._reduced_triples
+    monkeypatch.setattr(qg, "_reduced_triples", lambda D: walks.append(D) or walk(D))
     code, out = run_cli(capsys, "classnum", "--disc", "-23")
     assert code == 0
     payload = json.loads(out)
     assert payload["class_number"] == "3"
+    assert walks == [-23]   # the weighted count reuses the one walk's h
 
 
 def test_classnum_over_budget_is_a_json_error_at_once(capsys):
@@ -321,6 +328,25 @@ def test_kirillov_checks(capsys):
     assert all(abs(r["coefficient_times_disc"] - 1.0) < 1e-12 for r in reports)
 
 
+def test_kirillov_prints_the_samples_criterion_8_checks(capsys):
+    from padic_orbits import acceptance, kirillov
+
+    cone, sphere, _ = kirillov.orbit_form_samples()
+    detail = acceptance.criterion_8_orbit_forms().details[0]
+    for check, count, worst in (("cone", 20, cone), ("sphere", 100, sphere)):
+        code, out = run_cli(capsys, "kirillov", "--check", check)
+        payload = json.loads(out)
+        assert code == 0 and payload["samples"] == count
+        assert payload["worst_abs_error"] == worst.error
+        assert f"{check} worst {payload['worst_abs_error']:.2e};" in detail
+    # kirillov is the one module that samples: no other imports random, even locally
+    importers = {path.stem for path in Path(kirillov.__file__).parent.glob("*.py")
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.ImportFrom) and node.module == "random"
+                 or isinstance(node, ast.Import) and "random" in (a.name for a in node.names)}
+    assert importers == {"kirillov"}
+
+
 @pytest.mark.parametrize("argv", [
     "cnf --d -23 --terms 5",
     "global-check --trace 1 --det 6 --terms 5",
@@ -328,7 +354,7 @@ def test_kirillov_checks(capsys):
     "kirillov --check cone --samples 5",
 ], ids=["cnf-terms", "global-check-terms", "reproduce-all-terms", "kirillov-samples"])
 def test_removed_option_is_usage_error(argv):
-    # L(1, chi) is always summed to L_TERMS terms and kirillov always draws 20 samples.
+    # L(1, chi) is always summed to L_TERMS terms, and kirillov prints criterion 8's samples.
     with pytest.raises(SystemExit) as exc:
         main(argv.split())
     assert exc.value.code == 2

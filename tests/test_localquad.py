@@ -10,6 +10,7 @@ from padic_orbits.localquad import (
     classify_quad,
     classnum_local_check,
     kronecker_symbol,
+    norm1_artin_L_at_1,
     norm1_report,
     norm1_volume,
     res_torus_volume,
@@ -85,7 +86,8 @@ def test_artin_L_inverse_is_residue_point_count():
 
 
 def test_artin_L_inverse_against_enumeration():
-    # cross-check with the brute-force residue counts of the unit-norm set
+    # cross-check with the brute-force residue counts of the unit-norm set,
+    # and of the norm-one curve: p - 1 points split, p + 1 unramified
     from padic_orbits.pointcount import Constraint, NormEquation, count_mod
 
     for p in (3, 5, 7, 11, 13):
@@ -95,6 +97,8 @@ def test_artin_L_inverse_against_enumeration():
             t = classify_quad(d, p)
             n1 = count_mod(NormEquation(d, Constraint.UNIT_NORM), p, 1)
             assert Fraction(n1, p * p) == 1 / artin_L_at_1(t, p), (d, p)
+            norm_one = count_mod(NormEquation(d, Constraint.NORM_ONE), p, 1)
+            assert Fraction(norm_one, p) == 1 / norm1_artin_L_at_1(t, p), (d, p)
 
 
 def test_res_torus_volume_examples():

@@ -69,7 +69,7 @@ def _refuse(*args):
 
 
 # Every entry point that walks or scans the forms of one discriminant.
-_CLASS_NUMBER_ENTRIES = [_reduced_triples, class_number, class_number_scan, hurwitz_hw]
+_CLASS_NUMBER_ENTRIES = [_reduced_triples, class_number, class_number_scan]
 
 
 @pytest.mark.parametrize("entry", _CLASS_NUMBER_ENTRIES, ids=lambda f: f.__name__)
@@ -254,16 +254,17 @@ def test_hurwitz6_row_budget_admits_the_cap(monkeypatch):
 
 
 def test_hurwitz_examples():
-    assert hurwitz_hw(-3) == F(1, 3)
-    assert hurwitz_hw(-4) == F(1, 2)
-    assert hurwitz_hw(-8) == 1
+    assert hurwitz_hw(-3, 1) == F(1, 3)
+    assert hurwitz_hw(-4, 1) == F(1, 2)
+    assert hurwitz_hw(-8, 1) == 1
+    assert hurwitz_hw(-12, 1) == 1   # the order Z[sqrt -3] has only the units +-1
 
 
 def test_hurwitz_times_units_is_integral():
     for D in range(-3, -2001, -1):
         if D % 4 in (0, 1):
             u = 3 if D == -3 else 2 if D == -4 else 1
-            assert (hurwitz_hw(D) * u).denominator == 1
+            assert (hurwitz_hw(D, class_number(D)) * u).denominator == 1
 
 
 def test_quad_field_data():

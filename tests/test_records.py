@@ -58,6 +58,7 @@ _RECORDS = {
     "TraceTerms": lambda: eichlerselberg.trace_formula(12, 2),
     "OrbitalReport": lambda: gl2local.full_report(1, 6, 5),
     "ConversionReport": lambda: kirillov.sl2_conversion_report(1.0),
+    "WorstSample": lambda: kirillov.orbit_form_samples()[1],
     "TorusVolumeReport": lambda: localquad.res_torus_volume(localquad.classify_quad(-1, 3), 3),
     "Norm1VolumeReport": lambda: localquad.norm1_report(localquad.classify_quad(5, 5), 5),
     "CountProfile": lambda: volume_profile(NormEquation(2, Constraint.NORM_ONE), 2, 3),
