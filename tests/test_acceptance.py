@@ -212,6 +212,50 @@ def test_failure_names_its_input(monkeypatch, criterion, patch, fail_pattern):
     assert any(re.match(fail_pattern, line) for line in result.details), result.details
 
 
+
+def _nan_cases():
+    from padic_orbits import kirillov, quadglobal
+
+    def nan(*args):
+        return math.nan
+
+    real_samples = kirillov.orbit_form_samples
+
+    def nan_coefficient():
+        cone, sphere, conversions = real_samples()
+        return cone, sphere, (conversions[0]._replace(coefficient=math.nan), *conversions[1:])
+
+    nan_L = (quadglobal, "dirichlet_L1", lambda disc, terms: (math.nan, abs(disc) / terms))
+    return [
+        pytest.param(acceptance.criterion_5_cnf, nan_L,
+                     [r"; worst residual/bound = nan$", r"^FAIL at disc=-3: residual nan > bound "],
+                     id="cnf"),
+        pytest.param(acceptance.criterion_6_global, nan_L,
+                     [r"^FAIL: X\^2 - 1 X \+ 6: residual nan >= 1e-4$"], id="global-identity"),
+        pytest.param(acceptance.criterion_8_orbit_forms, (kirillov, "cone_pullback_check", nan),
+                     [r"^cone worst nan; ", r"^FAIL cone pullback error nan at t=\S+, theta=\S+$"],
+                     id="orbit-forms-cone"),
+        pytest.param(acceptance.criterion_8_orbit_forms, (kirillov, "sphere_density_spherical", nan),
+                     [r"; sphere worst nan; ",
+                      r"^FAIL sphere density error nan at phi=\S+, theta=\S+$"],
+                     id="orbit-forms-sphere"),
+        pytest.param(acceptance.criterion_8_orbit_forms,
+                     (kirillov, "orbit_form_samples", nan_coefficient),
+                     [r"^FAIL conversion magnitude at t=0\.5$"], id="orbit-forms-conversion"),
+    ]
+
+
+@pytest.mark.parametrize("criterion, patch, patterns", _nan_cases())
+def test_nan_error_fails_its_gate(monkeypatch, criterion, patch, patterns):
+    # NaN compares false with every bound, so each gate passes only a number
+    # within it: a NaN error fails, the summary shows it, and the FAIL line
+    # names the input
+    monkeypatch.setattr(*patch)
+    result = criterion()
+    assert not result.ok
+    for pattern in patterns:
+        assert any(re.search(pattern, line) for line in result.details), (pattern, result.details)
+
 # -- published table values refuted by enumeration -------------------------
 
 

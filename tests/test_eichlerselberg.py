@@ -1,3 +1,4 @@
+import hashlib
 import sys
 from fractions import Fraction
 from math import comb, isqrt
@@ -334,13 +335,15 @@ _COEFF = st.one_of(st.integers(-1, 1), st.integers(-2 ** 300, 2 ** 300))
 
 @st.composite
 def _factor(draw, order):
-    kind = draw(st.sampled_from(["dense", "sparse", "zero"]))
+    kind = draw(st.sampled_from(["dense", "sparse", "zero", "even"]))
     if kind == "zero":
         return [0] * (order + 1)
     coeffs = draw(st.lists(_COEFF, min_size=order + 1, max_size=order + 1))
     if kind == "sparse":
         keep = draw(st.sets(st.integers(0, order), max_size=3))
         coeffs = [c if i in keep else 0 for i, c in enumerate(coeffs)]
+    if kind == "even":   # a series in q^2, whose odd half packs to zero
+        coeffs = [0 if i % 2 else c for i, c in enumerate(coeffs)]
     return coeffs
 
 
@@ -357,10 +360,19 @@ def test_series_product_matches_double_loop(data, order):
         PowerSeriesZ(a, order) * PowerSeriesZ(b + [1], order + 1)
 
 
-@pytest.mark.parametrize("order", [0, 1, 5])
+@given(a=_COEFF, b=_COEFF)
+def test_series_product_of_order_zero(a, b):
+    # order 0 has one even coefficient and an empty odd half
+    assert (PowerSeriesZ([a], 0) * PowerSeriesZ([b], 0)).coeffs == [a * b]
+    f = PowerSeriesZ([a], 0)
+    assert (f * f).coeffs == [a * a]
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 5, 6])
 @pytest.mark.parametrize("top", [2 ** 7 - 1, 2 ** 7, 2 ** 8 - 1, 2 ** 15 - 1, 2 ** 15, 2 ** 64])
 def test_series_product_at_the_slot_bound(order, top):
-    # constant factors make the q^order coefficient equal (order + 1) max|a| max|b|
+    # constant factors make the q^order coefficient equal (order + 1) max|a| max|b|;
+    # at odd orders it is read from the odd half, at even orders from the even half
     for sa, sb in ((1, 1), (1, -1), (-1, -1)):
         a, b = [sa * top] * (order + 1), [sb * top] * (order + 1)
         assert (PowerSeriesZ(a, order) * PowerSeriesZ(b, order)).coeffs == _dense_product(a, b)
@@ -437,3 +449,21 @@ def test_eigenform_makes_one_product_after_eta_tau(monkeypatch):
         calls.clear()
         eigenform_coeffs(k, 50)
         assert len(calls) == (3 if k == 12 else 4), k   # eta_tau squares three times
+
+
+# sha256 of ",".join(map(str, eigenform_coeffs(k, 2000))): the oracle at its
+# cap, pinned so that a new product algorithm cannot move a coefficient
+_EIGENFORM_2000_SHA256 = {
+    12: "851d256e547207e81f8fe4ca35cd74b6c6cc0963496623b242dc423e67698d96",
+    16: "df818ce633cbb086ef8cdf918147e4e30d176030e26320e7603f206f101d60c4",
+    18: "a62cf44856674cb1b4b700104247abcf830e3143760e606f639d9c3652badd54",
+    20: "85580e341f0e3a023dadfbf387b85b162050ba511bdba3dafb6a82ffca946b2c",
+    22: "f28a1e4fc685dbd02119e276fc32a907ab2b0b1e8ed32382e39d75e81b5929b0",
+    26: "e861e9d591efc9a61db01ddd539da9984cbe7691af31c2d0b9beb5b2d38c663d",
+}
+
+
+@pytest.mark.parametrize("k", _ONE_DIM)
+def test_eigenform_at_the_cap_is_pinned(k):
+    text = ",".join(map(str, eigenform_coeffs(k, 2000)))
+    assert hashlib.sha256(text.encode()).hexdigest() == _EIGENFORM_2000_SHA256[k]

@@ -107,3 +107,44 @@ def test_conversion_report_witness_is_distance_from_one(monkeypatch):
     monkeypatch.setattr(kirillov, "sl2_conversion_coefficient", lambda t: -original(t))
     with pytest.raises(ArithmeticError, match=r"off \|D\|\^-1 by 2\.0$"):
         sl2_conversion_report(1.0)
+
+
+@pytest.mark.parametrize("fn, args", [
+    (cone_pullback_check, (math.nan, 1.0)),
+    (cone_pullback_check, (1.0, math.nan)),
+    (sphere_form, (math.nan, 0.0, 0.0)),
+    (sphere_density_spherical, (math.nan, 1.0)),
+    (sl2_conversion_coefficient, (math.nan,)),
+])
+def test_nan_input_is_refused(fn, args):
+    # every precondition passes only a number inside its range
+    with pytest.raises(ValueError):
+        fn(*args)
+
+
+def test_nan_disc_trips_the_conversion_gate(monkeypatch):
+    # a NaN discriminant makes the product NaN, which is not within 1e-12 of 1
+    from padic_orbits import acceptance
+
+    monkeypatch.setattr(kirillov, "weyl_disc", lambda s: math.nan)
+    with pytest.raises(ArithmeticError, match=r"^t=2\.0: conversion coefficient off \|D\|\^-1 by nan$"):
+        sl2_conversion_report(2.0)
+    with pytest.raises(ArithmeticError, match=r"^t=0\.5: "):
+        acceptance.criterion_8_orbit_forms()
+
+
+@pytest.mark.parametrize("name", ["cone_pullback_check", "sphere_density_spherical"])
+def test_first_nan_sample_stays_the_worst(monkeypatch, name):
+    # samples 3 and 5 are NaN: the worst is NaN at the third point, whatever
+    # the errors that follow
+    real, points = getattr(kirillov, name), []
+
+    def nan_at_3_and_5(*point):
+        points.append(point)
+        return math.nan if len(points) in (3, 5) else real(*point)
+
+    monkeypatch.setattr(kirillov, name, nan_at_3_and_5)
+    cone, sphere, _ = kirillov.orbit_form_samples()
+    worst, names = (cone, ("t", "theta")) if name == "cone_pullback_check" else (sphere, ("phi", "theta"))
+    assert math.isnan(worst.error)
+    assert worst.witness == "{}={}, {}={}".format(names[0], points[2][0], names[1], points[2][1])
