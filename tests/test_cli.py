@@ -425,3 +425,30 @@ def test_global_check(capsys):
     payload = json.loads(out)
     assert payload["ok"] is True
     assert payload["field"]["disc"] == -4
+
+
+# Payloads that tests/cli_golden.json does not store: they hold floats, or
+# the shapes (p = 2 detail, unit constraint, hyperbolic class) no README
+# example prints.  Each pin holds the payload with every float replaced by
+# "<float>", so it fixes the nested keys and every exact leaf, and only the
+# type of a float, whose digits depend on libm.
+PAYLOAD_PINS = json.loads((Path(__file__).with_name("cli_payload_pins.json")).read_text())
+
+
+def _mask_floats(x):
+    if isinstance(x, float):
+        return "<float>"
+    if isinstance(x, dict):
+        return {k: _mask_floats(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_mask_floats(v) for v in x]
+    return x
+
+
+@pytest.mark.parametrize("command", sorted(PAYLOAD_PINS))
+def test_payload_keys_and_exact_leaves_are_pinned(capsys, command):
+    code, out = run_cli(capsys, *command.split())
+    assert code == 0
+    # compared as JSON text, so that true and 1, or "1" and 1, differ
+    assert (json.dumps(_mask_floats(json.loads(out)), sort_keys=True)
+            == json.dumps(PAYLOAD_PINS[command], sort_keys=True))
