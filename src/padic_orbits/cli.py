@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 domain error (with an {"error": ...} payload),
 2 usage error, 3 failed internal invariant (an ArithmeticError other than
-ZeroDivisionError, with the same payload).  All big integers are serialized
-as decimal strings and keys are emitted sorted, so identical invocations
-produce identical bytes.
+ZeroDivisionError, with the same payload).  Each command hands its records
+to ``exact.to_json``, the one serialization rule, and keys are emitted
+sorted, so identical invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -17,11 +17,12 @@ from fractions import Fraction
 from . import acceptance, gl2local, kirillov, localquad, pointcount, quadglobal
 from . import eichlerselberg as es
 from . import weylsteinberg as ws
-from .exact import _require_prime, frac_to_json
+from .exact import _require_prime, to_json
 
 
-def _emit(payload: dict) -> int:
-    print(json.dumps(payload, sort_keys=True, indent=2))
+def _emit(payload) -> int:
+    """Print payload, a record or a dict of values, as JSON."""
+    print(json.dumps(to_json(payload), sort_keys=True, indent=2))
     return 0
 
 
@@ -129,18 +130,18 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_torus_volume(args) -> int:
     t = localquad.classify_quad(args.d, args.p)
     if args.norm1:
-        return _emit(localquad.norm1_report(t, args.p).to_json())
-    return _emit(localquad.res_torus_volume(t, args.p).to_json())
+        return _emit(localquad.norm1_report(t, args.p))
+    return _emit(localquad.res_torus_volume(t, args.p))
 
 
 def _cmd_point_count(args) -> int:
     eq = pointcount.NormEquation(args.d, pointcount.Constraint(args.constraint))
-    payload = pointcount.volume_profile(eq, args.p, args.k).to_json()
-    if args.digits:
-        if args.p != 2:
-            raise ValueError("digit tables are 2-adic; --digits requires --p 2")
-        payload["digits"] = pointcount.digit_table(eq, min(args.k, 6)).to_json()
-    return _emit(payload)
+    profile = pointcount.volume_profile(eq, args.p, args.k)
+    if not args.digits:
+        return _emit(profile)
+    if args.p != 2:
+        raise ValueError("digit tables are 2-adic; --digits requires --p 2")
+    return _emit({**to_json(profile), "digits": pointcount.digit_table(eq, min(args.k, 6))})
 
 
 def _cmd_disc(args) -> int:
@@ -153,9 +154,9 @@ def _cmd_disc(args) -> int:
     s = ws.SpectralData(ws.GroupKind(group), eigs, args.nu)
     return _emit({
         "group": args.group,
-        "eigenvalues": [frac_to_json(x) for x in eigs],
-        "nu": frac_to_json(args.nu) if args.nu is not None else None,
-        "weyl_disc": frac_to_json(ws.weyl_disc(s)),
+        "eigenvalues": eigs,
+        "nu": args.nu,
+        "weyl_disc": ws.weyl_disc(s),
     })
 
 
@@ -169,7 +170,7 @@ def _cmd_orbital(args) -> int:
         if args.kind is None or args.d is None or args.p is None:
             raise ValueError("class input needs --kind, --d and --p")
         report = gl2local.report_for_class(gl2local.class_from_letter(args.kind, args.d, args.p))
-    return _emit(report.to_json())
+    return _emit(report)
 
 
 def _cmd_classnum(args) -> int:
@@ -177,27 +178,25 @@ def _cmd_classnum(args) -> int:
     return _emit({
         "disc": args.disc,
         "class_number": str(h),
-        "weighted_class_number": frac_to_json(quadglobal.hurwitz_hw(args.disc, h)),
+        "weighted_class_number": quadglobal.hurwitz_hw(args.disc, h),
     })
 
 
 def _cmd_cnf(args) -> int:
-    return _emit(quadglobal.cnf_report(args.d).to_json())
+    return _emit(quadglobal.cnf_report(args.d))
 
 
 def _cmd_global_check(args) -> int:
-    return _emit(quadglobal.global_identity_check(args.trace, args.det).to_json())
+    return _emit(quadglobal.global_identity_check(args.trace, args.det))
 
 
 def _cmd_trace(args) -> int:
     # the oracle first, so that its cap refuses n before any trace-formula work
     oracle = es.oracle_coefficient(args.k, args.n) if args.oracle else None
     terms = es.trace_formula(args.k, args.n)
-    payload = terms.to_json()
-    if args.oracle:
-        payload["oracle"] = str(oracle)
-        payload["match"] = oracle == terms.trace
-    return _emit(payload)
+    if not args.oracle:
+        return _emit(terms)
+    return _emit({**to_json(terms), "oracle": str(oracle), "match": oracle == terms.trace})
 
 
 def _cmd_tau(args) -> int:
@@ -208,7 +207,7 @@ def _cmd_tau(args) -> int:
 def _cmd_kirillov(args) -> int:
     cone, sphere, conversions = kirillov.orbit_form_samples()
     if args.check == "conversion":
-        return _emit({"check": "conversion", "reports": [r.to_json() for r in conversions]})
+        return _emit({"check": "conversion", "reports": conversions})
     worst, expected = (cone, 4.0) if args.check == "cone" else (sphere, "2 sin(phi)")
     return _emit({"check": args.check, "samples": worst.samples, "expected": expected,
                   "worst_abs_error": worst.error})
@@ -222,15 +221,14 @@ def _cmd_reproduce_all(args) -> int:
         print(f"[{status}] {r.key}: {r.title} ({r.seconds:.2f}s)", file=sys.stderr)
         for d in r.discrepancies:
             print(f"    reference-table discrepancy: {d.check}: published "
-                  f"{d.reference!r}, computed {d.computed!r} (witness: {d.witness})",
+                  f"{d.reference_value!r}, computed {d.computed_value!r} (witness: {d.witness})",
                   file=sys.stderr)
         if not r.ok:
             for line in r.details:
                 print(f"    {line}", file=sys.stderr)
     # Timings stay on the stderr lines above so that stdout is deterministic.
-    stdout_results = [{k: v for k, v in r.to_json().items() if k != "seconds"}
-                      for r in results]
-    print(json.dumps({"ok": all_ok, "results": stdout_results}, sort_keys=True, indent=2))
+    _emit({"ok": all_ok, "results": [{k: v for k, v in to_json(r).items() if k != "seconds"}
+                                     for r in results]})
     return 0 if all_ok else 1
 
 

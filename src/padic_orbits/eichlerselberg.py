@@ -27,7 +27,7 @@ from math import isqrt
 from operator import mul
 from typing import NamedTuple
 
-from .exact import _PRINT_BITS, _PRINT_WORK, _check_budget, frac_to_json
+from .exact import _PRINT_BITS, _PRINT_WORK, _check_budget
 from .quadglobal import hurwitz6_row
 
 # k -> the (power, c) of E_{k-12} for _eisenstein; weight 12 takes no factor.
@@ -69,16 +69,8 @@ class TraceTerms(NamedTuple):
     rhs_total: Fraction
     trace: int
 
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "n": self.n,
-            "identity_term": frac_to_json(self.identity_term),
-            "elliptic_term": frac_to_json(self.elliptic_term),
-            "hyperbolic_term": frac_to_json(self.hyperbolic_term),
-            "rhs_total": frac_to_json(self.rhs_total),
-            "trace": str(self.trace),
-        }
+    def _json(self) -> dict:
+        return {**self._asdict(), "trace": str(self.trace)}
 
 
 def hecke_traces(n: int, weights: Iterable[int]) -> dict[int, TraceTerms]:

@@ -3,10 +3,12 @@
 Every closed-form quantity in this package is a rational number times an
 integer or half-integer power of the residue cardinality q.  ``QHalfPower``
 represents such scalars exactly; plain rationals are ``fractions.Fraction``.
+``to_json`` is the package's one rule for printing any of its values.
 """
 
 from __future__ import annotations
 
+from enum import Enum
 from fractions import Fraction
 from math import isqrt
 from typing import Union
@@ -267,14 +269,6 @@ class QHalfPower:
         if self.q != other.q:
             raise ValueError(f"mismatched residue cardinalities {self.q} and {other.q}")
 
-    def to_json(self) -> dict:
-        return {
-            "coeff_num": str(self.coeff.numerator),
-            "coeff_den": str(self.coeff.denominator),
-            "q": self.q,
-            "half_exp": self.half_exp,
-        }
-
 
 def qhalf(coeff: RationalLike, q: int, half_exp: int = 0) -> QHalfPower:
     return QHalfPower(coeff, half_exp, q)
@@ -285,6 +279,28 @@ def abs_p(x: RationalLike, p: int) -> QHalfPower:
     return QHalfPower(Fraction(1), -2 * ord_p(x, p), p)
 
 
-def frac_to_json(x: Fraction) -> str:
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+def to_json(x):
+    """x as JSON data: the one place that decides how a value is printed.
+
+    A Fraction prints as "n/d", or "n" when integral, and a QHalfPower as
+    its coefficient's parts, as strings, with q and half_exp.  An enum
+    prints its value.  A record (a NamedTuple) prints the dict of its
+    fields, or of its ``_json()`` when it defines one, and lists, tuples
+    and dict values are converted in turn.  Anything else, such as an int,
+    float, str, bool or None, is returned as it is, so JSON data converts
+    to itself.
+    """
+    if isinstance(x, Fraction):
+        return str(x)
+    if isinstance(x, QHalfPower):
+        return {"coeff_num": str(x.coeff.numerator), "coeff_den": str(x.coeff.denominator),
+                "q": x.q, "half_exp": x.half_exp}
+    if isinstance(x, Enum):
+        return x.value
+    if isinstance(x, tuple) and hasattr(x, "_fields"):
+        x = x._json() if hasattr(x, "_json") else x._asdict()
+    if isinstance(x, dict):
+        return {k: to_json(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [to_json(v) for v in x]
+    return x

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exact import QHalfPower, _require_prime, frac_to_json, qhalf
+from .exact import QHalfPower, _require_prime, qhalf
 from .weylsteinberg import Gl2OrbitClass, OrbitKind, delta_abs_gl2
 
 
@@ -80,17 +80,12 @@ class OrbitalReport(NamedTuple):
     O_canonical: Fraction
     O_geometric: QHalfPower
     conversion: QHalfPower
-    dgbar: Fraction
+    dgbar_scale: Fraction
 
-    def to_json(self) -> dict:
-        return {
-            "class": self.orbit_class.to_json(),
-            "abs_weyl_disc": self.abs_weyl_disc.to_json(),
-            "O_canonical": frac_to_json(self.O_canonical),
-            "O_geometric": self.O_geometric.to_json(),
-            "conversion": self.conversion.to_json(),
-            "dgbar_scale": frac_to_json(self.dgbar),
-        }
+    def _json(self) -> dict:
+        fields = self._asdict()
+        fields["class"] = fields.pop("orbit_class")   # "class" is a Python keyword
+        return fields
 
 
 def report_for_class(c: Gl2OrbitClass) -> OrbitalReport:

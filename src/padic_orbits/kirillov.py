@@ -76,19 +76,10 @@ def sphere_density_spherical(phi: float, theta: float) -> float:
 
 class ConversionReport(NamedTuple):
     t: float
-    coefficient: float       # geometric-form / orbit-form coefficient ratio
-    weyl_disc: float         # D(t h) = -4 t^2, exact via eigenvalues
-    product: float           # coefficient * D, expected 1
-    realized_sign: int       # sign of coefficient relative to 1/D
-
-    def to_json(self) -> dict:
-        return {
-            "t": self.t,
-            "coefficient": self.coefficient,
-            "weyl_disc": self.weyl_disc,
-            "coefficient_times_disc": self.product,
-            "realized_sign": self.realized_sign,
-        }
+    coefficient: float              # geometric-form / orbit-form coefficient ratio
+    weyl_disc: float                # D(t h) = -4 t^2, exact via eigenvalues
+    coefficient_times_disc: float   # expected 1
+    realized_sign: int              # sign of coefficient relative to 1/D
 
 
 def sl2_conversion_coefficient(t: float) -> float:

@@ -20,7 +20,6 @@ from .exact import (
     QHalfPower,
     _ord,
     _require_prime,
-    frac_to_json,
     fundamental_discriminant,
     is_squarefree,
 )
@@ -134,23 +133,13 @@ def norm1_artin_L_at_1(t: LocalQuadType, q: int) -> Fraction:
 class TorusVolumeReport(NamedTuple):
     """Volume data for the maximal compact subgroup of the unit-group torus."""
 
-    local_type: LocalQuadType
+    kind: QuadKind
+    p2_detail: Optional[P2Detail]
     vol_omega_T_Tc: QHalfPower
     L_factor_at_1: Fraction
     vol_canonical_T0: Fraction
     index_Tc_over_T0: int
     index_unverified: bool = False
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.local_type.kind.value,
-            "p2_detail": self.local_type.p2_detail.value if self.local_type.p2_detail else None,
-            "vol_omega_T_Tc": self.vol_omega_T_Tc.to_json(),
-            "L_factor_at_1": frac_to_json(self.L_factor_at_1),
-            "vol_canonical_T0": frac_to_json(self.vol_canonical_T0),
-            "index_Tc_over_T0": self.index_Tc_over_T0,
-            "index_unverified": self.index_unverified,
-        }
 
 
 def res_torus_volume(t: LocalQuadType, p: int) -> TorusVolumeReport:
@@ -167,7 +156,8 @@ def res_torus_volume(t: LocalQuadType, p: int) -> TorusVolumeReport:
     L = artin_L_at_1(t, p)
     index = 1  # the standard model of the unit-group torus is its Neron model
     unverified = p == 2 and t.kind is QuadKind.RAMIFIED
-    return TorusVolumeReport(t, vol, L, Fraction(L.denominator, L.numerator), index, unverified)
+    return TorusVolumeReport(t.kind, t.p2_detail, vol, L, Fraction(L.denominator, L.numerator),
+                             index, unverified)
 
 
 def _unit_group_volume(t: LocalQuadType, p: int) -> QHalfPower:
@@ -207,21 +197,12 @@ def norm1_volume(t: LocalQuadType, p: int) -> QHalfPower:
 
 
 class Norm1VolumeReport(NamedTuple):
-    local_type: LocalQuadType
+    kind: QuadKind
+    p2_detail: Optional[P2Detail]
     vol_omega_T_Tc: QHalfPower
     L_factor_at_1: Fraction
     vol_canonical_T0: Fraction
     index_Tc_over_T0: int
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.local_type.kind.value,
-            "p2_detail": self.local_type.p2_detail.value if self.local_type.p2_detail else None,
-            "vol_omega_T_Tc": self.vol_omega_T_Tc.to_json(),
-            "L_factor_at_1": frac_to_json(self.L_factor_at_1),
-            "vol_canonical_T0": frac_to_json(self.vol_canonical_T0),
-            "index_Tc_over_T0": self.index_Tc_over_T0,
-        }
 
 
 def norm1_report(t: LocalQuadType, p: int) -> Norm1VolumeReport:
@@ -229,7 +210,8 @@ def norm1_report(t: LocalQuadType, p: int) -> Norm1VolumeReport:
     vol = norm1_volume(t, p)
     L = norm1_artin_L_at_1(t, p)
     index = 2 if t.kind is QuadKind.RAMIFIED else 1
-    return Norm1VolumeReport(t, vol, L, Fraction(L.denominator, L.numerator), index)
+    return Norm1VolumeReport(t.kind, t.p2_detail, vol, L, Fraction(L.denominator, L.numerator),
+                             index)
 
 
 def classnum_local_check(d: int, p: int) -> bool:

@@ -27,7 +27,7 @@ from math import isqrt
 from operator import mod, mul
 from typing import NamedTuple, Optional
 
-from .exact import _check_budget, _require_prime, frac_to_json, is_squarefree
+from .exact import _check_budget, _require_prime, is_squarefree
 
 # The work of a count is O(p^k): one table of the squares mod p^k.  The
 # enumeration budget p^(2k) <= 10^9 is the same as p^k <= isqrt(10^9) = 31,622.
@@ -135,17 +135,12 @@ class CountProfile(NamedTuple):
     stabilized_from: Optional[int]
     volume: Optional[Fraction]
 
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "d": self.equation.epsilon,
-            "constraint": self.equation.constraint.value,
-            "dim": self.dim,
-            "counts": [[k, str(n)] for k, n in self.counts],
-            "raw_counts": [[k, str(n)] for k, n in self.raw_counts],
-            "stabilized_from": self.stabilized_from,
-            "volume": None if self.volume is None else frac_to_json(self.volume),
-        }
+    def _json(self) -> dict:
+        fields = self._asdict()
+        eq = fields.pop("equation")
+        return {**fields, "d": eq.epsilon, "constraint": eq.constraint,
+                "counts": [[k, str(n)] for k, n in self.counts],
+                "raw_counts": [[k, str(n)] for k, n in self.raw_counts]}
 
 
 def volume_profile(eq: NormEquation, p: int, k_max: int) -> CountProfile:
@@ -185,15 +180,6 @@ class DigitConstraint(NamedTuple):
     value: Optional[int] = None              # for forced digits
     relation: Optional[str] = None           # for affine digits, e.g. "x1 + y1"
 
-    def to_json(self) -> dict:
-        return {
-            "var": self.var,
-            "index": self.index,
-            "status": self.status,
-            "value": self.value,
-            "relation": self.relation,
-        }
-
     def __repr__(self):
         name = f"{self.var}{self.index}"
         if self.status == "forced":
@@ -208,14 +194,6 @@ class DigitComponent(NamedTuple):
     rows: tuple[DigitConstraint, ...]
     pattern_count: int
     volume: Fraction
-
-    def to_json(self) -> dict:
-        return {
-            "anchor": list(self.anchor),
-            "rows": [r.to_json() for r in self.rows],
-            "pattern_count": self.pattern_count,
-            "volume": frac_to_json(self.volume),
-        }
 
 
 class DigitTable(NamedTuple):
@@ -232,15 +210,10 @@ class DigitTable(NamedTuple):
                 return c
         raise KeyError(f"no solution component with leading digits {anchor}")
 
-    def to_json(self) -> dict:
-        return {
-            "d": self.equation.epsilon,
-            "depth": self.depth,
-            "rows": [r.to_json() for r in self.rows],
-            "components": [c.to_json() for c in self.components],
-            "pattern_count": self.pattern_count,
-            "volume_at_depth": frac_to_json(self.volume_at_depth),
-        }
+    def _json(self) -> dict:
+        fields = self._asdict()
+        fields["d"] = fields.pop("equation").epsilon
+        return fields
 
 
 def _gauss_affine_fit(points: list[tuple[int, ...]], j: int) -> Optional[tuple[int, list[int]]]:

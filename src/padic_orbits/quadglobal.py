@@ -34,7 +34,6 @@ from typing import NamedTuple
 from .exact import (
     _check_budget,
     _prime_powers,
-    frac_to_json,
     fundamental_discriminant,
     is_fundamental_discriminant,
     is_prime,
@@ -246,9 +245,6 @@ class QuadFieldData(NamedTuple):
     w: int
     h: int
 
-    def to_json(self) -> dict:
-        return {"d": self.d, "disc": self.disc, "w": self.w, "h": self.h}
-
 
 def quad_field_data(d: int) -> QuadFieldData:
     if d >= 0 or not is_squarefree(d):
@@ -317,16 +313,10 @@ class CnfReport(NamedTuple):
     def ok(self) -> bool:
         return self.residual <= self.err_bound + 1e-12
 
-    def to_json(self) -> dict:
-        return {
-            "field": self.field.to_json(),
-            "terms": L_TERMS,
-            "L_value": self.L_value,
-            "err_bound": self.err_bound,
-            "target_2pi_h_over_w_sqrt_disc": self.target,
-            "residual": self.residual,
-            "ok": self.ok,
-        }
+    def _json(self) -> dict:
+        fields = self._asdict()
+        fields["target_2pi_h_over_w_sqrt_disc"] = fields.pop("target")
+        return {**fields, "terms": L_TERMS, "ok": self.ok}
 
 
 def cnf_report(d: int) -> CnfReport:
@@ -346,8 +336,8 @@ class GlobalIdentityReport(NamedTuple):
     field: QuadFieldData
     conductor: int
     primes_S: tuple[int, ...]
-    local_canonical: dict
-    off_S_samples: dict
+    local_canonical: dict   # str(p) -> OrbitalReport, for p in S
+    off_S_samples: dict     # str(p) -> O_canonical at five primes outside S
     product_O_can: Fraction
     lhs: float
     rhs: float
@@ -360,24 +350,12 @@ class GlobalIdentityReport(NamedTuple):
     def ok(self) -> bool:
         return self.residual <= self.bound
 
-    def to_json(self) -> dict:
-        return {
-            "trace": self.trace,
-            "det": self.det,
-            "field": self.field.to_json(),
-            "conductor": self.conductor,
-            "primes_S": list(self.primes_S),
-            "local_canonical": self.local_canonical,
-            "off_S_samples": self.off_S_samples,
-            "product_O_can": frac_to_json(self.product_O_can),
-            "lhs_vol_times_O_can": self.lhs,
-            "rhs_disc_over_2pi_times_O_geom": self.rhs,
-            "L_value": self.L_value,
-            "L_err_bound": self.L_err_bound,
-            "relative_residual": self.residual,
-            "bound": self.bound,
-            "ok": self.ok,
-        }
+    def _json(self) -> dict:
+        fields = self._asdict()
+        fields["lhs_vol_times_O_can"] = fields.pop("lhs")
+        fields["rhs_disc_over_2pi_times_O_geom"] = fields.pop("rhs")
+        fields["relative_residual"] = fields.pop("residual")
+        return {**fields, "ok": self.ok}
 
 
 def global_identity_check(trace: int, det: int) -> GlobalIdentityReport:
@@ -407,7 +385,7 @@ def global_identity_check(trace: int, det: int) -> GlobalIdentityReport:
     prod_o_can = Fraction(1)
     for p in S:
         rep = full_report(Fraction(trace), Fraction(det), p)
-        local[str(p)] = rep.to_json()
+        local[str(p)] = rep
         prod_o_can *= rep.O_canonical
     volume = finite_adelic_volume(K) * prod_o_can
     if max(volume, prod_o_can) > sys.float_info.max:
@@ -423,7 +401,7 @@ def global_identity_check(trace: int, det: int) -> GlobalIdentityReport:
     while found < 5:
         if is_prime(p) and disc % p and det % p:
             rep = full_report(Fraction(trace), Fraction(det), p)
-            off_samples[str(p)] = frac_to_json(rep.O_canonical)
+            off_samples[str(p)] = rep.O_canonical
             if rep.O_canonical != 1:
                 raise ArithmeticError(f"off-S canonical integral != 1 at p = {p}")
             found += 1

@@ -149,9 +149,6 @@ class Gl2OrbitClass(_Gl2OrbitClass):
                       _PRINT_BITS, _PRINT_WORK, d, q)
         return super().__new__(cls, kind, d, _require_prime(q))
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind.value, "d": self.d, "q": self.q}
-
 
 def delta_abs_gl2(trace: Fraction, det: Fraction, p: int) -> tuple[QHalfPower, Gl2OrbitClass]:
     """|D(gamma)|_p and the orbit class of a regular semisimple GL2 element.

@@ -18,6 +18,7 @@ from padic_orbits.eichlerselberg import (
     oracle_coefficient,
     trace_formula,
 )
+from padic_orbits.exact import to_json
 
 F = Fraction
 
@@ -274,7 +275,7 @@ def test_trace_formula_matches_fraction_chain(k, n):
     assert isinstance(tt.trace, int)
     assert tt.rhs_total == tt.identity_term + tt.elliptic_term + tt.hyperbolic_term
     assert tt.rhs_total * F(n) ** (k // 2 - 1) == tt.trace
-    assert tt.to_json() == _trace_terms_fraction_chain(k, n).to_json()
+    assert to_json(tt) == to_json(_trace_terms_fraction_chain(k, n))
 
 
 @given(n=st.integers(1, 2000),
@@ -283,7 +284,7 @@ def test_hecke_traces_match_fraction_chain(n, ks):
     traces = es.hecke_traces(n, ks)
     assert sorted(traces) == sorted(ks)
     for k in ks:
-        assert traces[k].to_json() == _trace_terms_fraction_chain(k, n).to_json(), k
+        assert to_json(traces[k]) == to_json(_trace_terms_fraction_chain(k, n)), k
 
 
 def test_hecke_traces_build_one_row(monkeypatch):

@@ -1,7 +1,9 @@
+import ast
 import math
 import re
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,6 +23,7 @@ from padic_orbits.exact import (
     ord_p,
     qhalf,
     squarefree_part,
+    to_json,
 )
 from padic_orbits.weylsteinberg import Gl2OrbitClass, OrbitKind
 
@@ -347,3 +350,50 @@ def test_prime_size_is_checked_before_primality(monkeypatch):
     monkeypatch.setattr(exact, "is_prime", refuse)
     with pytest.raises(ValueError, match=r"^bits of p = 6001 must be at most 6000: "):
         _require_prime(2 ** 6000)
+
+
+# -- to_json, the one serialization rule ------------------------------------
+
+
+def test_to_json_prints_each_kind_of_value():
+    assert to_json(Fraction(-3, 4)) == "-3/4"
+    assert to_json(Fraction(6, 3)) == "2"
+    assert to_json(qhalf(Fraction(-2, 3), 5, -1)) == {
+        "coeff_num": "-2", "coeff_den": "3", "q": 5, "half_exp": -1}
+    assert to_json(OrbitKind.RAM_ELLIPTIC) == "RamElliptic"
+    assert to_json(Gl2OrbitClass(OrbitKind.HYPERBOLIC, 1, 3)) == {
+        "kind": "Hyperbolic", "d": 1, "q": 3}
+    assert to_json((Fraction(1, 2), [None, True], {"k": Fraction(5)})) == [
+        "1/2", [None, True], {"k": "5"}]
+    for x in (7, -1.5, "7", True, None):
+        assert to_json(x) is x
+
+
+def test_to_json_uses_a_records_own_json():
+    payload = to_json(trace_formula(12, 2))
+    # tau(2) = -24 = rhs_total * 2^5
+    assert payload == {"k": 12, "n": 2, "identity_term": "0", "elliptic_term": "-23/32",
+                       "hyperbolic_term": "-1/32", "rhs_total": "-3/4", "trace": "-24"}
+    # JSON data converts to itself, so a payload may be extended and converted again
+    assert to_json(payload) == payload
+
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "padic_orbits"
+
+
+def test_only_exact_defines_a_serializer():
+    # exact.to_json is the one rule for printing a value; a second to_json,
+    # or the old frac_to_json, would restate it.  CriterionResult's
+    # `to_json = to_json` binds the rule itself and is not a def.
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert paths
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            defines = (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                       and node.name == "to_json" and path.stem != "exact")
+            names = "frac_to_json" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                       getattr(node, "name", None))
+            if defines or names:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"serialization outside exact.to_json: {found}"

@@ -82,7 +82,7 @@ def test_conversion_coefficient_values():
 def test_conversion_report_product():
     for t in (0.5, 1.0, 2.0, 5.0):
         rep = sl2_conversion_report(t)
-        assert abs(rep.product - 1.0) <= 1e-12
+        assert abs(rep.coefficient_times_disc - 1.0) <= 1e-12
         assert rep.realized_sign == 1
         assert abs(abs(rep.coefficient) - 1.0 / abs(rep.weyl_disc)) <= 1e-12
 

@@ -119,7 +119,7 @@ def test_report_invariants():
             rep = res_torus_volume(classify_quad(d, p), p)
             assert rep.vol_canonical_T0 * rep.L_factor_at_1 == 1
             assert rep.index_Tc_over_T0 == 1
-            assert rep.index_unverified == (p == 2 and rep.local_type.kind is QuadKind.RAMIFIED)
+            assert rep.index_unverified == (p == 2 and rep.kind is QuadKind.RAMIFIED)
 
 
 def test_norm1_volume_examples():

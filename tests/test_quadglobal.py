@@ -374,7 +374,7 @@ def test_global_identity_examples():
 def test_global_identity_off_s_triviality():
     rep = global_identity_check(1, 6)
     assert len(rep.off_S_samples) == 5
-    assert all(v == "1" for v in rep.off_S_samples.values())
+    assert all(v == 1 for v in rep.off_S_samples.values())
 
 
 def test_global_identity_off_s_failure_is_arithmetic_error(monkeypatch):
