@@ -7,8 +7,6 @@ to ``exact.to_json``, the one serialization rule, and keys are emitted
 sorted, so identical invocations produce identical bytes.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import sys
@@ -141,7 +139,8 @@ def _cmd_point_count(args) -> int:
         return _emit(profile)
     if args.p != 2:
         raise ValueError("digit tables are 2-adic; --digits requires --p 2")
-    return _emit({**to_json(profile), "digits": pointcount.digit_table(eq, min(args.k, 6))})
+    depth = min(args.k, pointcount._DEPTH_CAP)
+    return _emit({**to_json(profile), "digits": pointcount.digit_table(eq, depth)})
 
 
 def _cmd_disc(args) -> int:

@@ -18,8 +18,6 @@ slots that hold the proven coefficient bound, and two integer products of
 half the length give the even and the odd coefficients of the product.
 """
 
-from __future__ import annotations
-
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import repeat

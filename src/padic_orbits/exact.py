@@ -6,8 +6,6 @@ represents such scalars exactly; plain rationals are ``fractions.Fraction``.
 ``to_json`` is the package's one rule for printing any of its values.
 """
 
-from __future__ import annotations
-
 from enum import Enum
 from fractions import Fraction
 from math import isqrt

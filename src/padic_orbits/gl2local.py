@@ -7,8 +7,6 @@ factor between them is computed independently so the factorization identity
 is an actual check rather than a definition.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from typing import NamedTuple
 

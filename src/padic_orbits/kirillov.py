@@ -1,12 +1,13 @@
-"""Numeric checks of the symplectic 2-form on two rank-one coadjoint orbits.
+"""Numeric checks of the symplectic 2-form on two rank-one coadjoint orbits,
+and the exact sl(2) conversion coefficient to the geometric measure.
 
-Everything here is 64-bit floating point on purpose: the point is finite
-difference verification of the closed-form pullbacks, not exact arithmetic.
-Sign conventions for 2-forms depend on coordinate ordering, so the checks
-compare magnitudes and report the realized sign.
+The orbit-form checks are 64-bit floating point on purpose: the point is
+finite difference verification of the closed-form pullbacks.  The
+conversion coefficient is a rational function of t and is checked exactly.
+Sign conventions for 2-forms depend on coordinate ordering, so the
+orbit-form checks compare magnitudes and the conversion reports its
+realized sign.
 """
-
-from __future__ import annotations
 
 import math
 import random
@@ -75,35 +76,37 @@ def sphere_density_spherical(phi: float, theta: float) -> float:
 
 
 class ConversionReport(NamedTuple):
-    t: float
-    coefficient: float              # geometric-form / orbit-form coefficient ratio
-    weyl_disc: float                # D(t h) = -4 t^2, exact via eigenvalues
-    coefficient_times_disc: float   # expected 1
-    realized_sign: int              # sign of coefficient relative to 1/D
+    t: Fraction
+    coefficient: Fraction              # geometric-form / orbit-form coefficient ratio
+    weyl_disc: Fraction                # D(t h) = -4 t^2, exact via eigenvalues
+    coefficient_times_disc: Fraction   # expected 1
+    realized_sign: int                 # sign of coefficient relative to 1/D
 
 
-def sl2_conversion_coefficient(t: float) -> float:
+def sl2_conversion_coefficient(t: Fraction) -> Fraction:
     """Ratio of the geometric fiber form to the orbit 2-form at diag(t, -t).
 
     The geometric form there is -1/(2t) dx ^ dy against the orbit form
-    2t dx ^ dy, giving -1/(4 t^2); its magnitude is |D(t h)|^(-1).
+    2t dx ^ dy, giving -1/(4 t^2) exactly for any rational t != 0; its
+    magnitude is |D(t h)|^(-1).
     """
-    if not abs(t) >= 1e-3:
-        raise ValueError("|t| must be at least 1e-3 (regular semisimple)")
-    geometric = -1.0 / (2.0 * t)
-    orbit_form = 2.0 * t
+    t = Fraction(t)
+    if not t:
+        raise ValueError("t must be nonzero (regular semisimple)")
+    geometric = -1 / (2 * t)
+    orbit_form = 2 * t
     return geometric / orbit_form
 
 
-def sl2_conversion_report(t: float) -> ConversionReport:
+def sl2_conversion_report(t: Fraction) -> ConversionReport:
+    t = Fraction(t)
     coeff = sl2_conversion_coefficient(t)
-    ft = Fraction(t)
-    disc = float(weyl_disc(SpectralData(GroupKind.SLN_LIE, (ft, -ft))))
+    disc = weyl_disc(SpectralData(GroupKind.SLN_LIE, (t, -t)))
     product = coeff * disc
-    if not abs(product - 1.0) <= 1e-12:
-        raise ArithmeticError(f"t={t}: conversion coefficient off |D|^-1 by {abs(product - 1.0)}")
-    sign = 1 if coeff * (1.0 / disc) > 0 else -1
-    return ConversionReport(t, coeff, disc, product, sign)
+    if product != 1:
+        raise ArithmeticError(f"t={t}: conversion coefficient times D(t h) = {product}, "
+                              f"off 1 by {abs(product - 1)}")
+    return ConversionReport(t, coeff, disc, product, 1)   # the gate leaves coeff = +1/D
 
 
 def _worse(error: float, worst: float) -> bool:
@@ -120,7 +123,7 @@ class WorstSample(NamedTuple):
 
 def orbit_form_samples() -> tuple[WorstSample, WorstSample, tuple]:
     """Criterion 8's worst cone and sphere errors, and the ConversionReport at
-    t = 0.5, 1, 2, 5.  One Random(20240817) draws the 20 cone points, then the
+    t = 1/2, 1, 2, 5.  One Random(20240817) draws the 20 cone points, then the
     100 sphere points; only the worst point of each is formatted.  The worst
     is the first point of the largest error, or the first NaN if any."""
     rng = random.Random(20240817)
@@ -142,4 +145,4 @@ def orbit_form_samples() -> tuple[WorstSample, WorstSample, tuple]:
             sphere = error, phi, theta
     return (WorstSample(20, cone[0], "t={}, theta={}".format(*cone[1:])),
             WorstSample(100, sphere[0], "phi={}, theta={}".format(*sphere[1:])),
-            tuple(map(sl2_conversion_report, (0.5, 1.0, 2.0, 5.0))))
+            tuple(map(sl2_conversion_report, (Fraction(1, 2), 1, 2, 5))))

@@ -10,8 +10,6 @@ closed form is built as one Fraction of two integer polynomials in p, such as
 (1 - 1/p)(1 - chi(p)/p).
 """
 
-from __future__ import annotations
-
 import enum
 from fractions import Fraction
 from typing import NamedTuple, Optional

@@ -17,8 +17,6 @@ squares s: each y with y^2 = s pairs with each root x of c + d s.  Only the
 p = 2 projection builds the pairs themselves.
 """
 
-from __future__ import annotations
-
 import enum
 from collections import Counter
 from fractions import Fraction

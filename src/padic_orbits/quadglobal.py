@@ -21,8 +21,6 @@ finite-adelic volume h/w to the archimedean side through the local orbital
 reports.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from fractions import Fraction

@@ -6,8 +6,6 @@ rank-1 and rank-2 invariant-coordinate maps whose Jacobian identities drive
 the measure conversions elsewhere in the package.
 """
 
-from __future__ import annotations
-
 import enum
 from fractions import Fraction
 from typing import NamedTuple, Optional

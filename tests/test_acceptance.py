@@ -57,6 +57,18 @@ def test_criterion_6_global_identity():
     _report(acceptance.criterion_6_global(), 60)
 
 
+def test_criterion_6_fails_exactly_when_its_report_is_not_ok(monkeypatch):
+    from padic_orbits import quadglobal
+
+    rep = quadglobal.global_identity_check(1, 6)
+    monkeypatch.setattr(quadglobal.GlobalIdentityReport, "ok",
+                        property(lambda r: (r.trace, r.det) != (1, 6)))
+    result = acceptance.criterion_6_global()
+    assert not result.ok
+    assert [line for line in result.details if line.startswith("FAIL")] == [
+        f"FAIL: X^2 - 1 X + 6: residual {rep.residual} not within bound {rep.bound}"]
+
+
 def test_criterion_7_trace_formula_vs_oracle():
     _report(acceptance.criterion_7_trace_formula(), 60)
 
@@ -168,7 +180,7 @@ def _failure_cases():
         (acceptance.criterion_5_cnf, _doubled(quadglobal, "cnf_target"),
          r"FAIL at disc=-3: residual \S+ not within bound "),
         (acceptance.criterion_6_global, _doubled(quadglobal, "finite_adelic_volume"),
-         r"FAIL: X\^2 - 1 X \+ 6: residual \S+ not below 1e-4$"),
+         r"FAIL: X\^2 - 1 X \+ 6: residual \S+ not within bound \S+$"),
         (acceptance.criterion_7_trace_formula, _doubled(eichlerselberg, "dim_cusp_forms"),
          r"FAIL dimension at k=12$"),
         (acceptance.criterion_8_orbit_forms, _doubled(kirillov, "sphere_density_spherical"),
@@ -219,12 +231,6 @@ def _nan_cases():
     def nan(*args):
         return math.nan
 
-    real_samples = kirillov.orbit_form_samples
-
-    def nan_coefficient():
-        cone, sphere, conversions = real_samples()
-        return cone, sphere, (conversions[0]._replace(coefficient=math.nan), *conversions[1:])
-
     nan_L = (quadglobal, "dirichlet_L1", lambda disc, terms: (math.nan, abs(disc) / terms))
     return [
         pytest.param(acceptance.criterion_5_cnf, nan_L,
@@ -232,7 +238,7 @@ def _nan_cases():
                       r"^FAIL at disc=-3: residual nan not within bound "],
                      id="cnf"),
         pytest.param(acceptance.criterion_6_global, nan_L,
-                     [r"^FAIL: X\^2 - 1 X \+ 6: residual nan not below 1e-4$"],
+                     [r"^FAIL: X\^2 - 1 X \+ 6: residual nan not within bound nan$"],
                      id="global-identity"),
         pytest.param(acceptance.criterion_8_orbit_forms, (kirillov, "cone_pullback_check", nan),
                      [r"^cone worst nan; ", r"^FAIL cone pullback error nan at t=\S+, theta=\S+$"],
@@ -242,8 +248,9 @@ def _nan_cases():
                       r"^FAIL sphere density error nan at phi=\S+, theta=\S+$"],
                      id="orbit-forms-sphere"),
         pytest.param(acceptance.criterion_8_orbit_forms,
-                     (kirillov, "orbit_form_samples", nan_coefficient),
-                     [r"^FAIL conversion magnitude at t=0\.5$"], id="orbit-forms-conversion"),
+                     (kirillov, "sl2_conversion_coefficient", nan),
+                     r"^t=1/2: conversion coefficient times D\(t h\) = nan, off 1 by nan$",
+                     id="orbit-forms-conversion"),
     ]
 
 
@@ -251,8 +258,12 @@ def _nan_cases():
 def test_nan_error_fails_its_gate(monkeypatch, criterion, patch, patterns):
     # NaN compares false with every bound, so each gate passes only a number
     # within it: a NaN error fails, the summary shows it, and the FAIL line
-    # names the input
+    # names the input.  An exact invariant's gate raises instead, naming it.
     monkeypatch.setattr(*patch)
+    if isinstance(patterns, str):
+        with pytest.raises(ArithmeticError, match=patterns):
+            criterion()
+        return
     result = criterion()
     assert not result.ok
     for pattern in patterns:

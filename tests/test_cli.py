@@ -325,7 +325,8 @@ def test_kirillov_checks(capsys):
     code, out = run_cli(capsys, "kirillov", "--check", "conversion")
     assert code == 0
     reports = json.loads(out)["reports"]
-    assert all(abs(r["coefficient_times_disc"] - 1.0) < 1e-12 for r in reports)
+    assert [r["t"] for r in reports] == ["1/2", "1", "2", "5"]
+    assert all(r["coefficient_times_disc"] == "1" for r in reports)
 
 
 def test_kirillov_prints_the_samples_criterion_8_checks(capsys):
@@ -431,7 +432,8 @@ def test_global_check(capsys):
 # the shapes (p = 2 detail, unit constraint, hyperbolic class) no README
 # example prints.  Each pin holds the payload with every float replaced by
 # "<float>", so it fixes the nested keys and every exact leaf, and only the
-# type of a float, whose digits depend on libm.
+# type of a float, whose digits depend on libm.  The float-free
+# `kirillov --check conversion` pin is in both files.
 PAYLOAD_PINS = json.loads((Path(__file__).with_name("cli_payload_pins.json")).read_text())
 
 

@@ -1,7 +1,9 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from padic_orbits import kirillov
 from padic_orbits.kirillov import (
@@ -72,11 +74,21 @@ def test_sphere_density():
 
 
 def test_conversion_coefficient_values():
-    assert sl2_conversion_coefficient(1.0) == -0.25
-    assert sl2_conversion_coefficient(2.0) == -0.0625
-    assert sl2_conversion_coefficient(-1.0) == -0.25  # even in t
-    with pytest.raises(ValueError):
-        sl2_conversion_coefficient(1e-6)
+    assert sl2_conversion_coefficient(1) == Fraction(-1, 4)
+    assert sl2_conversion_coefficient(2) == Fraction(-1, 16)
+    assert sl2_conversion_coefficient(-1) == Fraction(-1, 4)  # even in t
+    assert sl2_conversion_coefficient(Fraction(1, 10 ** 6)) == -250_000_000_000
+    for refused in (sl2_conversion_coefficient, sl2_conversion_report):
+        with pytest.raises(ValueError, match="t must be nonzero"):
+            refused(0)
+
+
+@given(st.fractions().filter(bool))
+def test_conversion_is_exact_at_any_nonzero_rational(t):
+    assert sl2_conversion_coefficient(t) == Fraction(-1, 4) / t ** 2
+    rep = sl2_conversion_report(t)
+    assert rep.t == t and rep.weyl_disc == -4 * t ** 2
+    assert rep.coefficient_times_disc == 1 and rep.realized_sign == 1
 
 
 def test_conversion_report_product():
@@ -94,19 +106,20 @@ def test_conversion_report_violation_is_arithmetic_error(monkeypatch, capsys):
 
     original = kirillov.sl2_conversion_coefficient
     monkeypatch.setattr(kirillov, "sl2_conversion_coefficient", lambda t: 2 * original(t))
-    with pytest.raises(ArithmeticError, match="conversion coefficient off"):
-        sl2_conversion_report(1.0)
+    with pytest.raises(ArithmeticError, match=r"^t=1: conversion coefficient times D\(t h\) = 2, "):
+        sl2_conversion_report(1)
     # the CLI reports it as a failed invariant (exit 3), not a traceback
     assert main(["kirillov", "--check", "conversion"]) == 3
-    assert "conversion coefficient off" in json.loads(capsys.readouterr().out)["error"]
+    assert json.loads(capsys.readouterr().out)["error"] == (
+        "t=1/2: conversion coefficient times D(t h) = 2, off 1 by 1")
 
 
 def test_conversion_report_witness_is_distance_from_one(monkeypatch):
-    # A coefficient of the wrong sign gives product -1, which is 2.0 away from 1.
+    # A coefficient of the wrong sign gives product -1, which is 2 away from 1.
     original = kirillov.sl2_conversion_coefficient
     monkeypatch.setattr(kirillov, "sl2_conversion_coefficient", lambda t: -original(t))
-    with pytest.raises(ArithmeticError, match=r"off \|D\|\^-1 by 2\.0$"):
-        sl2_conversion_report(1.0)
+    with pytest.raises(ArithmeticError, match=r"= -1, off 1 by 2$"):
+        sl2_conversion_report(1)
 
 
 @pytest.mark.parametrize("fn, args", [
@@ -123,13 +136,13 @@ def test_nan_input_is_refused(fn, args):
 
 
 def test_nan_disc_trips_the_conversion_gate(monkeypatch):
-    # a NaN discriminant makes the product NaN, which is not within 1e-12 of 1
+    # a NaN discriminant makes the product NaN, which is not 1
     from padic_orbits import acceptance
 
     monkeypatch.setattr(kirillov, "weyl_disc", lambda s: math.nan)
-    with pytest.raises(ArithmeticError, match=r"^t=2\.0: conversion coefficient off \|D\|\^-1 by nan$"):
-        sl2_conversion_report(2.0)
-    with pytest.raises(ArithmeticError, match=r"^t=0\.5: "):
+    with pytest.raises(ArithmeticError, match=r"^t=2: conversion coefficient times D\(t h\) = nan, off 1 by nan$"):
+        sl2_conversion_report(2)
+    with pytest.raises(ArithmeticError, match=r"^t=1/2: "):
         acceptance.criterion_8_orbit_forms()
 
 
