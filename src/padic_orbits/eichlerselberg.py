@@ -8,14 +8,15 @@ Hurwitz class numbers, which it reads from one row,
 U_{k-2}(t, n).  ``hecke_traces`` evaluates every requested weight at one n
 against one row and one run of the U recurrence per t.  The oracle side
 expands the weight-12 cusp form Delta as an eta product, eta^24 as three
-squarings of eta^3.  Every other one-dimensional space S_k is Delta times the
-one Eisenstein series E_{k-12}, since M_8, M_10 and M_14 are one-dimensional
-(E4^2 = E8, E4 E6 = E10, E4^2 E6 = E14), so each eigenform costs one series
-product beyond Delta.  All of it is exact integer arithmetic.  A series
-product is a two-point Kronecker substitution: each factor is evaluated at
-+-X, with its even and its odd coefficients packed into one integer each in
-slots that hold the proven coefficient bound, and two integer products of
-half the length give the even and the odd coefficients of the product.
+squarings of eta^3, once per process for the largest N asked.  Every other
+one-dimensional space S_k is Delta times the one Eisenstein series E_{k-12}
+(M_8, M_10 and M_14 are one-dimensional: E4^2 = E8, E4 E6 = E10,
+E4^2 E6 = E14), so each eigenform costs one series product after that.
+All of it is exact integer arithmetic.  A series product is a two-point
+Kronecker substitution: each factor is evaluated at +-X, with its even and
+its odd coefficients packed into one integer each in slots that hold the
+proven coefficient bound, and two integer products of half the length give
+the even and the odd coefficients of the product.
 """
 
 from collections.abc import Iterable, Sequence
@@ -32,6 +33,7 @@ from .quadglobal import hurwitz6_row
 _ONE_DIM_WEIGHTS = {12: None, 16: (3, 240), 18: (5, -504), 20: (7, 480), 22: (9, -264),
                     26: (13, -24)}
 _SERIES_CAP = 10 ** 4
+_TAU = [0]   # tau(0..M) for the largest M that eta_tau has built; one list per process
 _ORACLE_CAP = 2000
 
 
@@ -257,15 +259,21 @@ def eta_tau(N: int) -> list[int]:
 
     The 24th power is built as the 8th power of the cubed product, whose
     expansion is the sparse Jacobi series, in three series squarings; each
-    is two integer squarings of half the length.
+    is two integer squarings of half the length.  The squarings run only
+    when N exceeds every earlier N of the process: the first M coefficients
+    of a truncated series do not depend on the order it is truncated at, so
+    ``_TAU``, the table of the largest M built so far, is extended and each
+    call returns a fresh copy of its first N + 1 entries.
     """
     if N < 1:
         raise ValueError("N must be a positive integer")
     _check_budget("N", N, _SERIES_CAP, "the eta product squares series of N terms")
-    res = _eta_cubed(N - 1)
-    for _ in range(3):
-        res = res * res
-    return [0] + res.coeffs  # tau(n) is the q^(n-1) coefficient of the product
+    if N >= len(_TAU):
+        res = _eta_cubed(N - 1)
+        for _ in range(3):
+            res = res * res
+        _TAU.extend(res.coeffs[len(_TAU) - 1:])  # tau(n) is the q^(n-1) coefficient
+    return _TAU[: N + 1]
 
 
 def _eisenstein(N: int, power: int, c: int) -> PowerSeriesZ:
@@ -288,8 +296,9 @@ def eigenform_coeffs(k: int, N: int) -> list[int]:
     cusp space: Delta from ``eta_tau``, times E_{k-12} unless k = 12.
 
     S_k is Delta M_{k-12}, and M_{k-12} is spanned by E_{k-12} for the
-    weights here, so the product is the eigenform with a_1 = 1 and takes
-    one series product after the three squarings of ``eta_tau``.
+    weights here, so the product is the eigenform with a_1 = 1.  Delta is
+    built once per process for the largest N asked, so after that first
+    build each eigenform costs one series product, none at k = 12.
     """
     if k not in _ONE_DIM_WEIGHTS:
         raise ValueError(f"space not one-dimensional at weight {k}")

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import comb, isqrt
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import padic_orbits.eichlerselberg as es
 import padic_orbits.quadglobal as qg
@@ -444,12 +444,58 @@ def test_eigenform_matches_the_eisenstein_chain(N):
 
 
 def test_eigenform_makes_one_product_after_eta_tau(monkeypatch):
+    # From an empty table the first build squares three times for Delta;
+    # later builds at N <= 50 reuse it, and N = 51 squares three times again
     real, calls = PowerSeriesZ.__mul__, []
     monkeypatch.setattr(PowerSeriesZ, "__mul__", lambda f, g: calls.append(1) or real(f, g))
-    for k in _ONE_DIM:
+    monkeypatch.setattr(es, "_TAU", [0])
+    for i, (k, N) in enumerate([(k, N) for N in (50, 1, 37, 50) for k in _ONE_DIM]):
         calls.clear()
-        eigenform_coeffs(k, 50)
-        assert len(calls) == (3 if k == 12 else 4), k   # eta_tau squares three times
+        eigenform_coeffs(k, N)
+        assert len(calls) == (3 if i == 0 else 0) + (k != 12), (k, N)
+    for k in (16, 12, 26):
+        calls.clear()
+        eigenform_coeffs(k, 51)
+        assert len(calls) == (3 if k == 16 else 0) + (k != 12), k
+
+
+def _tau_reference(N):
+    # tau(0..N) with no table: three squarings of eta^3 to order N - 1
+    res = es._eta_cubed(N - 1)
+    for _ in range(3):
+        res = res * res
+    return [0] + res.coeffs
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(1, 300), min_size=1, max_size=8))
+def test_eta_tau_matches_a_build_without_the_table(ns):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(es, "_TAU", [0])
+        for N in ns:
+            assert eta_tau(N) == _tau_reference(N), (ns, N)
+        assert es._TAU == _tau_reference(max(ns))
+
+
+def test_eta_tau_returns_a_copy(monkeypatch):
+    monkeypatch.setattr(es, "_TAU", [0])
+    for N in (40, 40, 25, 60):
+        tau = eta_tau(N)
+        tau[1] = 7
+        tau.append(1)
+        del tau[2:5]
+        assert eta_tau(N) == _tau_reference(N), N
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.lists(st.integers(1, 10 ** 4), max_size=6))
+def test_eta_tau_keeps_one_list_at_the_cap(ns):
+    table = es._TAU
+    eta_tau(10 ** 4)
+    for N in ns:
+        eta_tau(N)
+    assert es._TAU is table and len(table) == 10 ** 4 + 1
+    assert [name for name, value in vars(es).items() if isinstance(value, list)] == ["_TAU"]
 
 
 # sha256 of ",".join(map(str, eigenform_coeffs(k, 2000))): the oracle at its
