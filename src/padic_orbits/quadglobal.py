@@ -14,11 +14,12 @@ independently, sets the one |D| cap of 10^8, and shares only the input
 check with the walk: once the |D| cap has passed, it builds one table of
 the norms (b^2 - D)/4 for 0 <= b <= sqrt(|D|/3), b = D (mod 2), and for
 each a tests a | (b^2 - D)/4 on a prefix of it inside filterfalse.  The
-test sees b^2 only, so one hit counts b and -b exactly.  L(1, chi) comes
-from complete-period partial sums truncated at the one constant
-L_TERMS = 10^6, with a proven tail bound, and the global check ties the
-finite-adelic volume h/w to the archimedean side through the local orbital
-reports.
+test sees b^2 only, so one hit counts b and -b exactly.  An a with no hit
+has no root of b^2 = D (mod 4a), nor has any multiple of a, and the scan
+never tests those.  L(1, chi) comes from complete-period partial sums
+truncated at the one constant L_TERMS = 10^6, with a proven tail bound,
+and the global check ties the finite-adelic volume h/w to the archimedean
+side through the local orbital reports.
 """
 
 import math
@@ -205,18 +206,27 @@ def class_number_scan(D: int) -> int:
     the b = D (mod 2) with 0 <= b <= sqrt(|D| / 3), 2,887 integers at the
     cap.  For each a the norms of 0 <= b <= a are a prefix of the table,
     and b^2 = D (mod 4a) is a | m, which filterfalse tests with no bytecode
-    per candidate.  The +-b symmetry is exact: the test, c = m / a and
-    gcd(a, b, c) see b only through b^2 and |b|, so a hit b with 0 < b < a
-    stands for b and -b alike, and only the rule b >= 0 when a = c tells
-    them apart; b = 0 and b = a have no second candidate in (-a, a].
+    per candidate.  An a with no hit has no root mod 4a, as b and 2a - b
+    have the same square mod 4a, and then no multiple ka has one, as a root
+    mod 4ka is one mod 4a: its multiples are never tested.  The +-b
+    symmetry is exact: the test, c = m / a and gcd(a, b, c) see b only
+    through b^2 and |b|, so a hit b with 0 < b < a stands for b and -b
+    alike, and only the rule b >= 0 when a = c tells them apart; b = 0 and
+    b = a have no second candidate in (-a, a].
     """
     _check_disc(D)
     parity = D % 2
     top = isqrt(-D // 3)
     norms = [(b * b - D) // 4 for b in range(parity, top + 1, 2)]
+    alive = bytearray(b"\1") * (top + 1)
     count = 0
     for a in range(1, top + 1):
-        for m in filterfalse(a.__rmod__, islice(norms, (a - parity) // 2 + 1)):
+        if not alive[a]:
+            continue
+        hits = list(filterfalse(a.__rmod__, islice(norms, (a - parity) // 2 + 1)))
+        if not hits:
+            alive[2 * a::a] = bytes(top // a - 1)
+        for m in hits:
             c = m // a
             if c < a:
                 continue

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -138,6 +139,7 @@ def test_sieved_walk_matches_trial_division_on_large_disc(D):
 def test_walk_at_the_cap(D, h):
     # both values agree with the trial-division walk and the scan
     assert class_number(D) == h
+    assert class_number_scan(D) == h
 
 
 def test_sqrt_mod_squares_back():
@@ -168,6 +170,41 @@ def test_scan_does_not_walk(monkeypatch):
 def test_walk_does_not_scan(monkeypatch):
     monkeypatch.setattr(qg, "class_number_scan", _refuse)
     assert [class_number(D) for D in (-3, -4, -23, -3 * 577 ** 2)] == [1, 1, 3, 192]
+
+
+def test_pruned_scan_matches_unpruned_scan():
+    # D = 1 and 5 (mod 8), and many non-fundamental orders
+    for D in range(-3, -20001, -1):
+        if D % 4 in (0, 1):
+            assert class_number_scan(D) == _unpruned_scan(D), D
+
+
+@pytest.mark.parametrize("D", _LARGE_DISCS + [D for D, _ in _LARGE_ORDERS])
+def test_pruned_scan_matches_unpruned_scan_on_large_disc(D):
+    assert class_number_scan(D) == _unpruned_scan(D)
+
+
+@pytest.mark.parametrize("D", [-23, -183, -20003, -3 * 577 ** 2, -4000004, -4 * 1009 ** 2])
+def test_scan_tests_exactly_the_a_with_no_empty_proper_divisor(monkeypatch, D):
+    h = class_number(D)
+    # the pruning reads no residue symbol, prime or square root, and no walk
+    for name in ("kronecker_symbol", "is_prime", "_sqrt_mod", "_reduced_triples"):
+        monkeypatch.setattr(qg, name, _refuse)
+    tested = []
+    filterfalse = qg.filterfalse
+
+    def recording(pred, iterable):
+        tested.append(pred.__self__)
+        return filterfalse(pred, iterable)
+
+    monkeypatch.setattr(qg, "filterfalse", recording)
+    assert class_number_scan(D) == h
+    # d is empty when b^2 = D (mod 4d) has no root; b mod 2d decides b^2 mod 4d
+    top = math.isqrt(-D // 3)
+    empty = [False] + [all((b * b - D) % (4 * d) for b in range(2 * d))
+                       for d in range(1, top + 1)]
+    assert tested == [a for a in range(1, top + 1)
+                      if not any(empty[d] for d in range(1, a) if a % d == 0)]
 
 
 def test_parity_stepped_scan_matches_full_b_range():
@@ -422,6 +459,24 @@ def _full_b_scan(D):
             if math.gcd(math.gcd(a, abs(b)), c) == 1:
                 count += 1
         a += 1
+    return count
+
+
+def _unpruned_scan(D):
+    # the parity-stepped scan before the pruning: every a <= sqrt(|D|/3)
+    # tests a | (b^2 - D)/4 for each b = D (mod 2) with 0 <= b <= a
+    parity = D % 2
+    top = math.isqrt(-D // 3)
+    norms = [(b * b - D) // 4 for b in range(parity, top + 1, 2)]
+    count = 0
+    for a in range(1, top + 1):
+        for m in itertools.filterfalse(a.__rmod__, itertools.islice(norms, (a - parity) // 2 + 1)):
+            c = m // a
+            if c < a:
+                continue
+            b = math.isqrt(4 * m + D)
+            if math.gcd(a, b, c) == 1:
+                count += 2 if 0 < b < a and a != c else 1
     return count
 
 
