@@ -4,11 +4,13 @@ The trace of the n-th Hecke operator on weight-k level-one cusp forms is
 assembled from an identity term, a class-number-weighted elliptic sum, and a
 divisor (hyperbolic) sum.  The elliptic sum depends on n only through the
 Hurwitz class numbers, which it reads from one row,
-``quadglobal.hurwitz6_row(n)``, in O(n) work; the weight enters only through
-U_{k-2}(t, n).  ``hecke_traces`` evaluates every requested weight at one n
-against one row and one run of the U recurrence per t.  The oracle side
-expands the weight-12 cusp form Delta as an eta product, eta^24 as three
-squarings of eta^3, once per process for the largest N asked.  Every other
+``quadglobal.hurwitz6_row(n)``, in O(n) work; the row's table of square
+roots mod 4a is built once per process for the largest n asked, as Delta is
+below.  The weight enters only through U_{k-2}(t, n).  ``hecke_traces``
+evaluates every requested weight at one n against one row and one run of
+the U recurrence per t.  The oracle side expands the weight-12 cusp form
+Delta as an eta product, eta^24 as three squarings of eta^3, once per
+process for the largest N asked.  Every other
 one-dimensional space S_k is Delta times the one Eisenstein series E_{k-12}
 (M_8, M_10 and M_14 are one-dimensional: E4^2 = E8, E4 E6 = E10,
 E4^2 E6 = E14), so each eigenform costs one series product after that.

@@ -7,14 +7,20 @@ forms.  The walk sieves: it factors every norm (b^2 - D)/4 with
 of D modulo each, and reads the leading coefficients off the divisors, in
 O(sqrt|D| log log |D|) work.  The trace formula's Hurwitz class numbers
 6 H(4n - t^2), for every t with t^2 < 4n at once, come from one O(n) sweep
-over leading coefficients that looks each 4n - t^2 up in a table of
-b^2 mod 4a and weights every reduced form it finds; it shares no code with
-the walk.  An O(|D|) a-first scan of leading coefficients recounts h(D)
-independently, sets the one |D| cap of 10^8, and shares only the input
-check with the walk: once the |D| cap has passed, it builds one table of
-the norms (b^2 - D)/4 for 0 <= b <= sqrt(|D|/3), b = D (mod 2), and for
-each a tests a | (b^2 - D)/4 on a prefix of it inside filterfalse.  The
-test sees b^2 only, so one hit counts b and -b exactly.  An a with no hit
+over leading coefficients a.  weight[r], the number of b mod 2a with
+b^2 = r (mod 4a), counts the forms (a, b, c) with -a < b <= a of any
+discriminant D = r (mod 4a), and when |D| > 4 a^2 all of them have c > a,
+so the bulk of the sweep adds 6 weight[D mod 4a] with no bytecode per
+form; only the band 3 a^2 <= |D| <= 4 a^2 walks its roots b and weighs
+each reduced form it finds.  The weights and roots depend on a only and
+live in one grow-only table per process, ``_ROOTS``, of bytes and arrays,
+about 120 KiB at n <= 10^4 and 1 MiB at the cap n = 10^5.  The row shares
+no code with the walk.  An O(|D|) a-first scan of leading coefficients
+recounts h(D) independently, sets the one |D| cap of 10^8, and shares only
+the input check with the walk: once the |D| cap has passed, it builds one
+table of the norms (b^2 - D)/4 for 0 <= b <= sqrt(|D|/3), b = D (mod 2),
+and for each a tests a | (b^2 - D)/4 on a prefix of it inside filterfalse.
+The test sees b^2 only, so one hit counts b and -b exactly.  An a with no hit
 has no root of b^2 = D (mod 4a), nor has any multiple of a, and the scan
 never tests those.  L(1, chi) comes from complete-period partial sums
 truncated at the one constant L_TERMS = 10^6, with a proven tail bound,
@@ -24,10 +30,11 @@ side through the local orbital reports.
 
 import math
 import sys
+from array import array
 from fractions import Fraction
 from itertools import compress, filterfalse, islice, repeat
 from math import gcd, isqrt
-from operator import mod
+from operator import add, mod
 from typing import NamedTuple
 
 from .exact import (
@@ -48,6 +55,9 @@ from .localquad import kronecker_symbol
 _DISC_CAP = 10 ** 8
 # The one cap of the trace formula's O(n) class-number work.
 _ROW_CAP = 10 ** 5
+# (weight, first, nxt) of b^2 mod 4a at index a - 1, for every a up to the
+# largest isqrt(4n/3) that hurwitz6_row has built; one list per process
+_ROOTS = []
 # Every class number formula check sums chi(n)/n to L_TERMS terms.
 L_TERMS = 10 ** 6
 _L_DISC_CAP = 10 ** 6
@@ -162,39 +172,63 @@ def hurwitz6_row(n: int) -> list[int]:
     the sum of h(D/f^2)/u(D/f^2) over the f with D/f^2 a discriminant.
 
     One sweep over the leading coefficient a, with 3 a^2 <= 4n: a form
-    (a, b, c) of discriminant D exists exactly when b^2 = D (mod 4a), so
-    the b in [0, a] are grouped by b^2 mod 4a in one dict, and every D_t
-    with |D_t| >= 3 a^2 is looked up in it inside map.  A hit b gives
-    c = (b^2 - D_t) / 4a, kept when c >= a.  Times 6, (a, 0, a) weighs 3,
-    (a, a, a) weighs 2, the other boundary triples (b = 0, b = a or a = c)
-    6 and the rest 12, which stand for (a, +-b, c).  The work is O(n), and
-    n is capped at 10^5 before anything is allocated.  The row shares no
-    code with the walk or the scan.
+    (a, b, c) of discriminant D exists exactly when b^2 = D (mod 4a), and
+    b and 2a - b have the same square mod 4a, so weight[r], the number of
+    b mod 2a with b^2 = r (mod 4a), counts the forms (a, b, c) with
+    -a < b <= a and D = r (mod 4a): 2 for each root 0 < b < a and 1 for
+    b = 0 and for b = a.  When |D_t| > 4 a^2 every such form has
+    4 a c = b^2 + |D_t| > 4 a^2, so c > a and the form is reduced, and the
+    row adds 6 weight[D_t mod 4a] inside map.  D_t mod 4a has period 2a in
+    t, so the weights of one period, one bytes, are repeated over the t
+    with |D_t| > 4 a^2.  Only the band 3 a^2 <= |D_t| <= 4 a^2 walks the
+    roots 0 <= b <= a of D_t and keeps c >= a: times 6, (a, 0, a) weighs
+    3, (a, a, a) weighs 2, the other boundary triples (b = 0, b = a or
+    a = c) 6 and the rest 12, which stand for (a, +-b, c).  The work is
+    O(n), and n is capped at 10^5 before anything is allocated.  The row
+    shares no code with the walk or the scan.
+
+    The per-a data depend on a only and are kept in ``_ROOTS``, one
+    grow-only table per process, extended to the largest isqrt(4n/3) asked:
+    weight as a bytes of length 4a, and the roots b <= a of each residue as
+    array('H') links, first[r] the least and nxt[b] the next, a + 1 ending
+    both.  It holds 14 a bytes at a, about 120 KiB at n <= 10^4 and 1 MiB
+    at the cap.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
     _check_budget("n", n, _ROW_CAP, "the class-number row does O(n) work")
     N = 4 * n
-    discs = [t * t - N for t in range(isqrt(N - 1) + 1)]
-    row = [0] * len(discs)
-    a = 1
-    while 3 * a * a <= N:
+    top = isqrt(N // 3)   # the a with 3 a^2 <= N
+    for a in range(len(_ROOTS) + 1, top + 1):
         m = 4 * a
-        roots = {}
-        for b in range(a + 1):
-            roots.setdefault(b * b % m, []).append(b)
-        span = isqrt(N - 3 * a * a) + 1   # the t with |D_t| >= 3 a^2
-        hits = list(map(roots.get, map(mod, discs[:span], repeat(m))))
-        for t, bs in compress(enumerate(hits), hits):
+        weight = bytearray(m)
+        first = array("H", [a + 1]) * m
+        nxt = array("H", [a + 1]) * (a + 1)
+        for b in range(a, -1, -1):
+            r = b * b % m
+            weight[r] += 1 if b == 0 or b == a else 2
+            nxt[b], first[r] = first[r], b
+        _ROOTS.append((bytes(weight), first, nxt))
+    discs = [t * t - N for t in range(isqrt(N - 1) + 1)]
+    forms = [0] * len(discs)   # the forms with c > a of the t with |D_t| > 4 a^2
+    row = [0] * len(discs)
+    for a, (weight, first, nxt) in enumerate(islice(_ROOTS, top), 1):
+        m = 4 * a
+        bulk = isqrt(N - 4 * a * a - 1) + 1 if a * a < n else 0   # |D_t| > 4 a^2
+        if bulk:
+            period = bytes(map(weight.__getitem__, map(mod, discs[:min(bulk, 2 * a)], repeat(m))))
+            forms[:bulk] = map(add, forms[:bulk], period * (bulk // (2 * a) + 1))
+        for t in range(bulk, isqrt(N - 3 * a * a) + 1):   # 3 a^2 <= |D_t| <= 4 a^2
             D = discs[t]
-            for b in bs:
+            b = first[D % m]
+            while b <= a:
                 c = (b * b - D) // m
                 if c > a:
                     row[t] += 6 if b == 0 or b == a else 12
                 elif c == a:
                     row[t] += 3 if b == 0 else 2 if b == a else 6
-        a += 1
-    return row
+                b = nxt[b]
+    return [6 * f + x for f, x in zip(forms, row)]
 
 
 def class_number_scan(D: int) -> int:

@@ -25,7 +25,7 @@ from pathlib import Path
 import pytest
 
 import padic_orbits
-from padic_orbits import cli, eichlerselberg
+from padic_orbits import cli, eichlerselberg, quadglobal
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "padic_orbits"
@@ -125,10 +125,12 @@ def program_run():
     spec.loader.exec_module(workloads)
     names = _qualified_names()
     entered, calls, starts = set(), {}, {}
-    # eta_tau keeps tau in one table per process, which earlier tests may
-    # have filled; empty it, so that the profile sees what a fresh
-    # padic-orbits process enters, the squarings of Delta included.
+    # eta_tau keeps tau and hurwitz6_row the roots mod 4a in one table per
+    # process each, which earlier tests may have filled; empty both, so that
+    # the profile sees what a fresh padic-orbits process enters, the
+    # squarings of Delta and the build of the root table included.
     del eichlerselberg._TAU[1:]
+    del quadglobal._ROOTS[:]
 
     def profile(frame, event, arg):
         if event != "call":

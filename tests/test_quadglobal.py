@@ -1,9 +1,11 @@
 import itertools
 import math
+import operator
 import os
 import subprocess
 import sys
 import time
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -268,6 +270,9 @@ def test_hurwitz6_row_does_not_walk_or_scan(monkeypatch):
     for name in ("_reduced_triples", "class_number", "class_number_scan"):
         monkeypatch.setattr(qg, name, _refuse)
     assert [hurwitz6_row(n) for n in (1, 2, 3, 27, 1000)] == expected
+    # and once more from an empty table, so that building it is covered too
+    monkeypatch.setattr(qg, "_ROOTS", [])
+    assert [hurwitz6_row(n) for n in (1, 2, 3, 27, 1000)] == expected
     assert expected[:3] == [[3, 2], [6, 6, 3], [8, 6, 6, 2]]
 
 
@@ -275,12 +280,14 @@ def test_hurwitz6_row_does_not_walk_or_scan(monkeypatch):
 def test_hurwitz6_row_budget_rejects_before_work(monkeypatch, n):
     # the row sizes its tables with isqrt
     monkeypatch.setattr(qg, "isqrt", _refuse)
+    built = len(qg._ROOTS)
     start = time.perf_counter()
     refusal = (r"^n must be a positive integer$" if n < 1 else
                rf"^n = {n} must be at most {qg._ROW_CAP}: the class-number row does O\(n\) work$")
     with pytest.raises(ValueError, match=refusal):
         hurwitz6_row(n)
     assert time.perf_counter() - start < 1.0
+    assert len(qg._ROOTS) == built
 
 
 def test_hurwitz6_row_budget_admits_the_cap(monkeypatch):
@@ -288,6 +295,80 @@ def test_hurwitz6_row_budget_admits_the_cap(monkeypatch):
     assert len(hurwitz6_row(50)) == 15
     with pytest.raises(ValueError, match="n = 51 must be at most 50"):
         hurwitz6_row(51)
+
+
+def _is_square(x):
+    return x >= 0 and math.isqrt(x) ** 2 == x
+
+
+def test_hurwitz6_row_matches_row_reference():
+    for n in range(1, 3001):
+        assert hurwitz6_row(n) == _row_reference(n), n
+    # The sweep reaches both edges of the band, for small and large a:
+    # |D_t| = 4 a^2, the first t past the bulk, where (a, 0, a) weighs 3,
+    # and |D_t| = 3 a^2, the last t of the band, where (a, a, a) weighs 2.
+    for edge in (4, 3):
+        edges = [(n, a) for n in range(1, 3001) for a in range(1, math.isqrt(4 * n // 3) + 1)
+                 if _is_square(4 * n - edge * a * a)]
+        assert (1, 1) in edges and max(a for _, a in edges) >= 50, edge
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.integers(1, qg._ROW_CAP))
+def test_hurwitz6_row_from_an_empty_table_on_random_n(n):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qg, "_ROOTS", [])
+        assert hurwitz6_row(n) == _row_reference(n)
+
+
+def test_row_table_counts_the_roots():
+    # entry a - 1: weight[r] = #{b mod 2a : b^2 = r (mod 4a)}, and the links
+    # list the b <= a with b^2 = r (mod 4a) in increasing order, a + 1 ending
+    hurwitz6_row(4000)
+    for a, (weight, first, nxt) in enumerate(qg._ROOTS[:73], 1):
+        m = 4 * a
+        assert list(weight) == [sum(b * b % m == r for b in range(2 * a)) for r in range(m)], a
+        for r in range(m):
+            roots, b = [], first[r]
+            while b != a + 1:
+                roots.append(b)
+                b = nxt[b]
+            assert roots == [b for b in range(a + 1) if b * b % m == r], (a, r)
+
+
+@pytest.mark.parametrize("ns", [[9000, 1000, 40, 3], [3, 40, 1000, 9000]])
+def test_row_table_does_not_depend_on_order(ns):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qg, "_ROOTS", [])
+        for n in ns:
+            assert hurwitz6_row(n) == _row_reference(n), (ns, n)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.lists(st.integers(1, 10 ** 4), min_size=1, max_size=6))
+def test_row_table_only_grows_to_the_largest_n(ns):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qg, "_ROOTS", [])
+        seen = []
+        for i, n in enumerate(ns):
+            hurwitz6_row(n)
+            assert len(qg._ROOTS) == math.isqrt(4 * max(ns[:i + 1]) // 3), (ns, n)
+            assert all(x is y for x, y in zip(seen, qg._ROOTS))
+            seen = list(qg._ROOTS)
+
+
+def test_row_table_is_one_compact_list(monkeypatch):
+    monkeypatch.setattr(qg, "_ROOTS", [])
+    hurwitz6_row(10 ** 4)
+    table = qg._ROOTS
+    assert [name for name, value in vars(qg).items() if isinstance(value, list)] == ["_ROOTS"]
+    assert len(table) == 115
+    for a, entry in enumerate(table, 1):
+        assert type(entry) is tuple and [type(x) for x in entry] == [bytes, array, array]
+        assert [len(x) for x in entry] == [4 * a, 4 * a, a + 1]
+        assert entry[1].typecode == entry[2].typecode == "H"
+    size = sys.getsizeof(table) + sum(sys.getsizeof(e) + sum(map(sys.getsizeof, e)) for e in table)
+    assert size <= 150 * 1024
 
 
 def test_hurwitz_examples():
@@ -519,3 +600,29 @@ def _hurwitz_from_class_numbers(D, h):
             total += F(h[d], 3 if d == -3 else 2 if d == -4 else 1)
         m += 1
     return total
+
+
+def _row_reference(n):
+    # the row before the table: for each a, the b <= a grouped by b^2 mod 4a
+    # in a dict built per call, and every (t, b) hit weighed in Python
+    N = 4 * n
+    discs = [t * t - N for t in range(math.isqrt(N - 1) + 1)]
+    row = [0] * len(discs)
+    a = 1
+    while 3 * a * a <= N:
+        m = 4 * a
+        roots = {}
+        for b in range(a + 1):
+            roots.setdefault(b * b % m, []).append(b)
+        span = math.isqrt(N - 3 * a * a) + 1
+        hits = list(map(roots.get, map(operator.mod, discs[:span], itertools.repeat(m))))
+        for t, bs in itertools.compress(enumerate(hits), hits):
+            D = discs[t]
+            for b in bs:
+                c = (b * b - D) // m
+                if c > a:
+                    row[t] += 6 if b == 0 or b == a else 12
+                elif c == a:
+                    row[t] += 3 if b == 0 else 2 if b == a else 6
+        a += 1
+    return row
