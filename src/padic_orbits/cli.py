@@ -176,7 +176,7 @@ def _cmd_classnum(args) -> int:
     h = quadglobal.class_number(args.disc)
     return _emit({
         "disc": args.disc,
-        "class_number": str(h),
+        "class_number": h,
         "weighted_class_number": quadglobal.hurwitz_hw(args.disc, h),
     })
 

@@ -176,17 +176,17 @@ class QHalfPower:
     """An exact scalar coeff * q^(half_exp / 2) relative to a fixed q.
 
     The package's local quantities are products and quotients of such
-    scalars, so the class multiplies, divides and compares exactly and has
-    no addition: ``a + b`` raises ``TypeError``, so mixing half-powers is an
-    error rather than an approximation.  The canonical zero has coeff = 0
-    and half_exp = 0.  Values whose half-exponents differ by an odd amount
-    are never equal (for prime q, sqrt(q) is irrational).  A value with no
-    odd power of sqrt(q) equals its rational, and so equals such a value at
-    any other q; values with an odd power are equal only at the same q.
-    Equality is therefore an equivalence, and ``__hash__`` agrees with it.
-    The fields are read-only, since the hash is taken from them.  The class
-    is not a tuple: a tuple base would make ``a + b`` concatenate and
-    ``a < b`` compare.
+    scalars at one place, so at one q, and that is all the class does: it
+    multiplies, divides and compares a QHalfPower with another at the same
+    q.  A product or quotient with one at another q raises ``ValueError``,
+    and with anything else, an int or a ``Fraction`` included, ``TypeError``;
+    ``==`` with either is False.  There is no addition: ``a + b`` raises
+    ``TypeError``, so mixing half-powers is an error rather than an
+    approximation.  The canonical zero has coeff = 0 and half_exp = 0.
+    Values whose half-exponents differ by an odd amount are never equal
+    (for prime q, sqrt(q) is irrational).  The class defines ``__eq__`` and
+    no ``__hash__``, so it is unhashable.  It is not a tuple: a tuple base
+    would make ``a + b`` concatenate and ``a < b`` compare.
     """
 
     __slots__ = ("coeff", "half_exp", "q")
@@ -196,85 +196,50 @@ class QHalfPower:
             coeff = Fraction(coeff)
         if q < 1:
             raise ValueError("q must be a positive integer")
-        _set = object.__setattr__
-        _set(self, "coeff", coeff)
-        _set(self, "half_exp", half_exp if coeff else 0)
-        _set(self, "q", q)
+        self.coeff = coeff
+        self.half_exp = half_exp if coeff else 0
+        self.q = q
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    # -- canonical value key: absorb the even part of the exponent ------
+    # -- canonical value key at q: absorb the even part of the exponent --
     def _key(self):
-        if self.coeff == 0:
-            return (0, 0, self.q)
         k, parity = divmod(self.half_exp, 2)
         c = self.coeff
         if k > 0:
             c *= self.q ** k
         elif k < 0:
             c /= self.q ** -k
-        return (c, parity, self.q)
-
-    def _coerce(self, other):
-        """other as a QHalfPower (rationals at q^0), or NotImplemented if foreign."""
-        if isinstance(other, (int, Fraction)):
-            return QHalfPower(other, 0, self.q)
-        return other if isinstance(other, QHalfPower) else NotImplemented
+        return c, parity
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        # With no odd power of sqrt(q) left the value is the rational c,
-        # whatever q is; odd half-powers are equal only at the same q.
-        c, parity, q = self._key()
-        return (c, parity) == other._key()[:2] and (not parity or q == other.q)
-
-    def __hash__(self):
-        c, parity, q = self._key()
-        # A value with no odd power of sqrt(q) equals its rational, so it
-        # must hash as that rational.
-        return hash((c, parity, q)) if parity else hash(c)
+        if not isinstance(other, QHalfPower) or other.q != self.q:
+            return NotImplemented   # so == is False and != is True
+        return self._key() == other._key()
 
     def as_fraction(self) -> Fraction:
         """Exact rational value; error if an odd power of sqrt(q) remains."""
-        if self.coeff == 0:
-            return Fraction(0)
         if self.half_exp % 2:
             raise ValueError("value contains an odd power of sqrt(q)")
         return self.coeff * Fraction(self.q) ** (self.half_exp // 2)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        self._check_q(other)
+        self._same_q(other)
         return QHalfPower(self.coeff * other.coeff, self.half_exp + other.half_exp, self.q)
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        self._check_q(other)
+        self._same_q(other)
         if other.coeff == 0:
             raise ZeroDivisionError("division by zero")
         return QHalfPower(self.coeff / other.coeff, self.half_exp - other.half_exp, self.q)
 
-    def _check_q(self, other: "QHalfPower") -> None:
+    def _same_q(self, other) -> None:
+        if not isinstance(other, QHalfPower):
+            raise TypeError(f"a QHalfPower takes no {type(other).__name__} operand")
         if self.q != other.q:
             raise ValueError(f"mismatched residue cardinalities {self.q} and {other.q}")
 
 
 def qhalf(coeff: RationalLike, q: int, half_exp: int = 0) -> QHalfPower:
     return QHalfPower(coeff, half_exp, q)
-
-
-def abs_p(x: RationalLike, p: int) -> QHalfPower:
-    """p-adic absolute value |x|_p = q^(-ord_p x) of a nonzero rational x, as a QHalfPower."""
-    return QHalfPower(Fraction(1), -2 * ord_p(x, p), p)
 
 
 def to_json(x):

@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .exact import QHalfPower, _require_prime, qhalf
-from .weylsteinberg import Gl2OrbitClass, OrbitKind, delta_abs_gl2
+from .weylsteinberg import Gl2OrbitClass, OrbitKind, gl2_orbit_class
 
 
 def orbital_canonical_f0(c: Gl2OrbitClass) -> Fraction:
@@ -106,8 +106,7 @@ def full_report(trace: Fraction, det: Fraction, p: int) -> OrbitalReport:
     """
     if det == 0:
         raise ValueError("det must be nonzero: an element of GL2 is invertible")
-    _, c = delta_abs_gl2(Fraction(trace), Fraction(det), p)
-    return report_for_class(c)
+    return report_for_class(gl2_orbit_class(Fraction(trace), Fraction(det), p))
 
 
 def class_from_letter(letter: str, d: int, q: int) -> Gl2OrbitClass:

@@ -3,10 +3,10 @@ and the exact sl(2) conversion coefficient to the geometric measure.
 
 The orbit-form checks are 64-bit floating point on purpose: the point is
 finite difference verification of the closed-form pullbacks.  The
-conversion coefficient is a rational function of t and is checked exactly.
-Sign conventions for 2-forms depend on coordinate ordering, so the
-orbit-form checks compare magnitudes and the conversion reports its
-realized sign.
+conversion coefficient is a rational function of t and is checked exactly,
+sign included: the gate requires it to be +1/D(t h), so the report's
+realized sign is always 1.  Sign conventions for 2-forms depend on
+coordinate ordering, so the orbit-form checks compare magnitudes.
 """
 
 import math

@@ -66,12 +66,13 @@ class NormEquation(_NormEquation):
 
 def _check_args(p: int, k: int) -> int:
     """Check p and k for a count mod p^k; return p as tested prime."""
-    p = _require_prime(p)
     if k < 1:
         raise ValueError("k must be >= 1")
-    # k, then p, bound p^k before it is taken; p^k <= 31,622 needs both
+    # k, then p, bound p^k before it is taken, and p before it is tested;
+    # p^k <= 31,622 needs both
     _check_budget("k", k, _K_MAX, _ENUM_WORK)
     _check_budget("p", p, _ENUM_CAP, _ENUM_WORK)
+    p = _require_prime(p)
     _check_budget("p^k", p ** k, _ENUM_CAP, _ENUM_WORK)
     return p
 
@@ -231,14 +232,12 @@ def _gauss_affine_fit(points: list[tuple[int, ...]], j: int) -> Optional[tuple[i
         r0 += 1
     if not all(any(row[:ncols]) or not row[ncols] for row in rows):
         return None
+    # Row operations keep the solution set, and no row reads 0 = 1: the
+    # pivots' right sides, with every free coefficient 0, fit every point.
     coeff = [0] * ncols
     for idx, c in enumerate(pivots):
         coeff[c] = rows[idx][ncols]
-    const, lin = coeff[0], coeff[1:]
-    for pt in points:
-        if (const ^ (sum(a & b for a, b in zip(lin, pt)) & 1)) != pt[j]:
-            return None
-    return const, lin
+    return coeff[0], coeff[1:]
 
 
 def _classify_digits(vecs: set[tuple[int, ...]], depth: int) -> tuple[DigitConstraint, ...]:

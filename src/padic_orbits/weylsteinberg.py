@@ -13,10 +13,8 @@ from typing import NamedTuple, Optional
 from .exact import (
     _PRINT_BITS,
     _PRINT_WORK,
-    QHalfPower,
     _check_budget,
     _require_prime,
-    abs_p,
     fundamental_discriminant,
     ord_p,
     squarefree_part,
@@ -148,15 +146,14 @@ class Gl2OrbitClass(_Gl2OrbitClass):
         return super().__new__(cls, kind, d, _require_prime(q))
 
 
-def delta_abs_gl2(trace: Fraction, det: Fraction, p: int) -> tuple[QHalfPower, Gl2OrbitClass]:
-    """|D(gamma)|_p and the orbit class of a regular semisimple GL2 element.
+def gl2_orbit_class(trace: Fraction, det: Fraction, p: int) -> Gl2OrbitClass:
+    """The orbit class at p of a regular semisimple GL2 element.
 
     The discriminant tr^2 - 4 det factors as f^2 * D0 with D0 the fundamental
-    discriminant of its square class; the depth is d = ord_p(f) and the
-    reported absolute value is |disc|_p = q^-(2d + ord_p D0), the Weyl
-    discriminant of the class normalized to unit determinant.  Inputs whose
-    conductor f has negative valuation (eigenvalues outside the standard
-    lattice setting) are rejected.
+    discriminant of its square class; the kind is that of Q_p(sqrt(D0)) and
+    the depth is d = ord_p(f).  Inputs whose conductor f has negative
+    valuation (eigenvalues outside the standard lattice setting) are
+    rejected.
     """
     p = _require_prime(p)
     trace, det = Fraction(trace), Fraction(det)
@@ -178,7 +175,7 @@ def delta_abs_gl2(trace: Fraction, det: Fraction, p: int) -> tuple[QHalfPower, G
     d_gamma //= 2
     if d_gamma < 0:
         raise ValueError("inconsistent valuation data: negative depth")
-    return abs_p(disc, p), Gl2OrbitClass(kind, d_gamma, p)
+    return Gl2OrbitClass(kind, d_gamma, p)
 
 
 # --------------------------------------------------------------------------

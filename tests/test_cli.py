@@ -97,7 +97,7 @@ def test_classnum(capsys, monkeypatch):
     code, out = run_cli(capsys, "classnum", "--disc", "-23")
     assert code == 0
     payload = json.loads(out)
-    assert payload["class_number"] == "3"
+    assert payload["class_number"] == 3
     assert walks == [-23]   # the weighted count reuses the one walk's h
 
 

@@ -1,15 +1,19 @@
+import random
 import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
+import padic_orbits.exact as exact
 from padic_orbits import pointcount
 from padic_orbits.exact import QHalfPower, is_prime, is_squarefree, ord_p
 from padic_orbits.localquad import QuadKind, classify_quad, norm1_volume, res_torus_volume
 from padic_orbits.pointcount import (
     Constraint,
     NormEquation,
+    _gauss_affine_fit,
     _norm_one_2adic_image,
     count_mod,
     digit_table,
@@ -68,6 +72,17 @@ def test_budget_guard():
         count_mod(eq(-1, UNIT), 101, 5)
     with pytest.raises(ValueError, match=rf"^p = {2 ** 127 - 1} must be at most 31622: "):
         count_mod(eq(-1, UNIT), 2 ** 127 - 1, 1)
+
+
+@pytest.mark.parametrize("count", [count_mod, raw_count_mod])
+def test_budget_refuses_p_before_testing_it(monkeypatch, count):
+    def refuse(n):
+        raise RuntimeError("p tested for primality before the budget check")
+
+    # the Mersenne prime 2^4423 - 1 takes seconds of Miller-Rabin
+    monkeypatch.setattr(exact, "is_prime", refuse)
+    with pytest.raises(ValueError, match=rf"^p = {2 ** 4423 - 1} must be at most 31622: "):
+        count(eq(-1, UNIT), 2 ** 4423 - 1, 1)
 
 
 @pytest.mark.parametrize("count", [count_mod, raw_count_mod])
@@ -280,3 +295,21 @@ def test_2adic_image_matches_deeper_projection(monkeypatch):
     monkeypatch.setattr(pointcount, "_P2_LIFT_BUFFER", 3)
     for (d, k), image in images.items():
         assert _norm_one_2adic_image(d, k) == image, (d, k)
+
+
+def test_affine_fit_matches_brute_force():
+    # Some c_j = a0 + sum a_i c_i over GF(2) holds on every point exactly
+    # when the fit returns one, and the one it returns holds.
+    rng = random.Random(1729)
+    found = {True: 0, False: 0}
+    for _ in range(400):
+        j = rng.randint(0, 5)
+        space = list(product((0, 1), repeat=j + 1))
+        points = sorted(rng.sample(space, rng.randint(1, len(space))))
+        fits = [(a[0], list(a[1:])) for a in product((0, 1), repeat=j + 1)
+                if all((a[0] + sum(x * y for x, y in zip(a[1:], pt))) % 2 == pt[j]
+                       for pt in points)]
+        fit = _gauss_affine_fit(points, j)
+        assert (fit in fits) if fits else fit is None, (j, points, fit)
+        found[bool(fits)] += 1
+    assert found[True] > 50 and found[False] > 50   # both kinds of prefix set occur

@@ -58,12 +58,6 @@ def test_no_public_name_is_test_only():
 
 # Members that no program path enters, each kept for a reason.
 _NEVER_ENTERED = {
-    # QHalfPower defines __eq__, and a class that defines __eq__ without
-    # __hash__ is unhashable.
-    "exact.QHalfPower.__hash__",
-    # Refuses assignment, since the hash is taken from the fields; the
-    # program assigns none.
-    "exact.QHalfPower.__setattr__",
     # Formats a digit row, which only the FAIL lines of criterion 2 print.
     "pointcount.DigitConstraint.__repr__",
 }

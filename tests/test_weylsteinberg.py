@@ -6,14 +6,14 @@ from hypothesis import assume, given, strategies as st
 
 import padic_orbits.exact as exact
 import padic_orbits.weylsteinberg as ws
-from padic_orbits.exact import abs_p, ord_p, qhalf
+from padic_orbits.exact import ord_p
 from padic_orbits.weylsteinberg import (
     Gl2OrbitClass,
     GroupKind,
     OrbitKind,
     SpectralData,
     _Dual,
-    delta_abs_gl2,
+    gl2_orbit_class,
     sl2_jacobian,
     sp4_identity_check,
     sp4_jacobian,
@@ -170,7 +170,7 @@ def test_sp2_lie_matches_sl2_lie():
 
 
 def test_gln_disc_valuation_identity():
-    # |D|_p = |prod_{i<j} (li - lj)^2|_p / |prod li|_p^(n-1)
+    # |D|_p = |prod_{i<j} (li - lj)^2|_p / |prod li|_p^(n-1), in valuations
     rng = random.Random(7)
     primes = (3, 5, 7)
     for _ in range(50):
@@ -189,7 +189,7 @@ def test_gln_disc_valuation_identity():
         for x in eigs:
             det *= x
         for p in primes:
-            assert abs_p(D, p) == abs_p(diff, p) / abs_p(det ** (n - 1), p)
+            assert ord_p(D, p) == ord_p(diff, p) - (n - 1) * ord_p(det, p)
         # units-only spectra collapse the determinant factor entirely
         unit_eigs = []
         p = rng.choice(primes)
@@ -202,7 +202,7 @@ def test_gln_disc_valuation_identity():
         for i in range(n):
             for j in range(i + 1, n):
                 diff *= (unit_eigs[i] - unit_eigs[j]) ** 2
-        assert abs_p(D, p) == abs_p(diff, p)
+        assert ord_p(D, p) == ord_p(diff, p)
 
 
 def _positive_roots_sl(eigs):
@@ -241,32 +241,36 @@ def test_root_square_identity():
 
 
 def test_delta_abs_examples():
-    absD, cls = delta_abs_gl2(F(5), F(6), 5)
-    assert cls == Gl2OrbitClass(OrbitKind.HYPERBOLIC, 0, 5) and absD == qhalf(1, 5)
-    absD, cls = delta_abs_gl2(F(0), F(-1), 3)
+    assert gl2_orbit_class(F(5), F(6), 5) == Gl2OrbitClass(OrbitKind.HYPERBOLIC, 0, 5)
+    cls = gl2_orbit_class(F(0), F(-1), 3)
     assert cls.kind is OrbitKind.HYPERBOLIC and cls.d == 0
-    absD, cls = delta_abs_gl2(F(1), F(6), 5)
-    assert cls.kind is OrbitKind.UNRAM_ELLIPTIC and cls.d == 0 and absD == qhalf(1, 5)
+    cls = gl2_orbit_class(F(1), F(6), 5)
+    assert cls.kind is OrbitKind.UNRAM_ELLIPTIC and cls.d == 0
 
 
 def test_delta_abs_depth_from_conductor():
     # disc = -4, -16, -64 have conductors 1, 2, 4 over Q(i)
     for det, d_expected in ((F(1), 0), (F(4), 1), (F(16), 2)):
-        _, cls = delta_abs_gl2(F(0), det, 2)
+        cls = gl2_orbit_class(F(0), det, 2)
         assert cls.kind is OrbitKind.RAM_ELLIPTIC and cls.d == d_expected
     # odd p: disc = -p has depth 0, disc = -p^3 has depth 1
-    _, cls = delta_abs_gl2(F(0), F(5), 5)
+    cls = gl2_orbit_class(F(0), F(5), 5)
     assert (cls.kind, cls.d) == (OrbitKind.RAM_ELLIPTIC, 0)
-    _, cls = delta_abs_gl2(F(0), F(125), 5)
+    cls = gl2_orbit_class(F(0), F(125), 5)
     assert (cls.kind, cls.d) == (OrbitKind.RAM_ELLIPTIC, 1)
 
 
 def test_delta_abs_ramified_valuation():
-    # |D| = q^(-2d - ord_p(fundamental discriminant))
-    absD, cls = delta_abs_gl2(F(0), F(5), 5)
-    assert absD == qhalf(1, 5, -2)
-    absD, cls = delta_abs_gl2(F(0), F(1), 2)   # gamma of order 4, disc -4
-    assert absD == qhalf(1, 2, -4) and cls.d == 0
+    # ord_p(disc) = 2d + ord_p(fundamental discriminant)
+    for trace, det, p, fundamental in (
+        (0, 5, 5, -20),    # disc -20 = -20 * 1^2
+        (0, 125, 5, -20),  # disc -500 = -20 * 5^2
+        (0, 1, 2, -4),     # gamma of order 4, disc -4
+        (2, 5, 2, -4),     # disc -16 = -4 * 2^2
+    ):
+        cls = gl2_orbit_class(F(trace), F(det), p)
+        assert cls.kind is OrbitKind.RAM_ELLIPTIC
+        assert ord_p(trace * trace - 4 * det, p) == 2 * cls.d + ord_p(fundamental, p)
 
 
 def test_delta_abs_depth_from_eigenvalue_valuations():
@@ -281,17 +285,16 @@ def test_delta_abs_depth_from_eigenvalue_valuations():
                 b = a + p ** d_target * rng.choice((1, 2))
                 if b % p == 0 or a == b or (b - a) % p ** (d_target + 1) == 0:
                     continue
-                absD, cls = delta_abs_gl2(F(a + b), F(a * b), p)
+                cls = gl2_orbit_class(F(a + b), F(a * b), p)
                 assert cls.kind is OrbitKind.HYPERBOLIC
                 assert cls.d == d_target == ord_p(F(b - a), p)
-                assert absD == qhalf(1, p, -4 * d_target)
 
 
 def test_delta_abs_errors():
     with pytest.raises(ValueError, match="regular"):
-        delta_abs_gl2(F(2), F(1), 5)
+        gl2_orbit_class(F(2), F(1), 5)
     with pytest.raises(ValueError, match="valuation"):
-        delta_abs_gl2(F(1, 5), F(1, 25), 5)  # eigenvalues off the lattice
+        gl2_orbit_class(F(1, 5), F(1, 25), 5)  # eigenvalues off the lattice
 
 
 def test_delta_abs_odd_conductor_valuation_is_arithmetic_error(monkeypatch):
@@ -300,7 +303,7 @@ def test_delta_abs_odd_conductor_valuation_is_arithmetic_error(monkeypatch):
     # A corrupted square class: disc -4 over -8 leaves conductor^2 = 1/2.
     monkeypatch.setattr(ws, "squarefree_part", lambda x: -2)
     with pytest.raises(ArithmeticError, match="odd valuation"):
-        delta_abs_gl2(F(0), F(1), 2)
+        gl2_orbit_class(F(0), F(1), 2)
 
 
 def test_steinberg_sl2():
