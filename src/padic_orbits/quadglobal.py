@@ -10,11 +10,14 @@ O(sqrt|D| log log |D|) work.  The trace formula's Hurwitz class numbers
 over leading coefficients a.  weight[r], the number of b mod 2a with
 b^2 = r (mod 4a), counts the forms (a, b, c) with -a < b <= a of any
 discriminant D = r (mod 4a), and when |D| > 4 a^2 all of them have c > a,
-so the bulk of the sweep adds 6 weight[D mod 4a] with no bytecode per
-form; only the band 3 a^2 <= |D| <= 4 a^2 walks its roots b and weighs
-each reduced form it finds.  The weights and roots depend on a only and
-live in one grow-only table per process, ``_ROOTS``, of bytes and arrays,
-about 120 KiB at n <= 10^4 and 1 MiB at the cap n = 10^5.  The row shares
+so the bulk of the sweep adds 6 weight[D mod 4a] with a few byte
+operations per a and no bytecode per form: a stored gather reads the
+weights of half a period, the mirror gives the other half, and the
+periods go into 4-byte slots of one integer sum.  Only the band
+3 a^2 <= |D| <= 4 a^2 walks its roots b and weighs each reduced form it
+finds.  The weights, roots and gathers depend on a only and live in one
+grow-only table per process, ``_ROOTS``, of bytes, arrays and itemgetters,
+about 190 KiB at n <= 10^4 and 1.5 MiB at the cap n = 10^5.  The row shares
 no code with the walk.  An O(|D|) a-first scan of leading coefficients
 recounts h(D) independently, sets the one |D| cap of 10^8, and shares only
 the input check with the walk: once the |D| cap has passed, it builds one
@@ -32,9 +35,10 @@ import math
 import sys
 from array import array
 from fractions import Fraction
-from itertools import compress, filterfalse, islice, repeat
+from itertools import compress, filterfalse, islice
 from math import gcd, isqrt
-from operator import add, mod
+from operator import itemgetter
+from struct import iter_unpack
 from typing import NamedTuple
 
 from .exact import (
@@ -55,8 +59,8 @@ from .localquad import kronecker_symbol
 _DISC_CAP = 10 ** 8
 # The one cap of the trace formula's O(n) class-number work.
 _ROW_CAP = 10 ** 5
-# (weight, first, nxt) of b^2 mod 4a at index a - 1, for every a up to the
-# largest isqrt(4n/3) that hurwitz6_row has built; one list per process
+# (weight, first, nxt, squares) of b^2 mod 4a at index a - 1, for every a up
+# to the largest isqrt(4n/3) that hurwitz6_row has built; one list per process
 _ROOTS = []
 # Every class number formula check sums chi(n)/n to L_TERMS terms.
 L_TERMS = 10 ** 6
@@ -178,46 +182,71 @@ def hurwitz6_row(n: int) -> list[int]:
     -a < b <= a and D = r (mod 4a): 2 for each root 0 < b < a and 1 for
     b = 0 and for b = a.  When |D_t| > 4 a^2 every such form has
     4 a c = b^2 + |D_t| > 4 a^2, so c > a and the form is reduced, and the
-    row adds 6 weight[D_t mod 4a] inside map.  D_t mod 4a has period 2a in
-    t, so the weights of one period, one bytes, are repeated over the t
-    with |D_t| > 4 a^2.  Only the band 3 a^2 <= |D_t| <= 4 a^2 walks the
-    roots 0 <= b <= a of D_t and keeps c >= a: times 6, (a, 0, a) weighs
-    3, (a, a, a) weighs 2, the other boundary triples (b = 0, b = a or
-    a = c) 6 and the rest 12, which stand for (a, +-b, c).  The work is
-    O(n), and n is capped at 10^5 before anything is allocated.  The row
-    shares no code with the walk or the scan.
+    row adds 6 weight[D_t mod 4a].  D_t mod 4a has period 2a in t, and
+    D_{2a-t} = D_t (mod 4a), so one period is a half over 0 <= t <= a and
+    its mirror.  The half is one gather: with s = -4n mod 4a, the rotation
+    rot = weight[s:] + weight[:s] has rot[t^2 mod 4a] = weight[D_t mod 4a],
+    and a stored itemgetter over the t^2 mod 4a, 0 <= t <= a, reads them
+    into one bytes (at a = 19 it reads t = 20 as well, and the mirror starts
+    one t lower: no gather makes a 20-tuple, which CPython 3.11 and 3.12
+    never reuse once freed).  The period, repeated over the t with
+    |D_t| > 4 a^2, fills one 4-byte little-endian slot per t, and the slots
+    of every a are added as one integer, unpacked once at the end.  No slot
+    carries: the weights of a sum to 2a, so slot t ends at most the sum
+    over a <= top of 2a, top (top + 1) with top = isqrt(4n/3), under 2^18
+    at the cap and so under 2^32.  Only the band 3 a^2 <= |D_t| <= 4 a^2
+    walks the roots 0 <= b <= a of D_t and keeps c >= a: times 6,
+    (a, 0, a) weighs 3, (a, a, a) weighs 2, the other boundary triples
+    (b = 0, b = a or a = c) 6 and the rest 12, which stand for
+    (a, +-b, c).  The work is O(n), and n is capped at 10^5 before anything
+    is allocated.  The row shares no code with the walk or the scan.
 
     The per-a data depend on a only and are kept in ``_ROOTS``, one
     grow-only table per process, extended to the largest isqrt(4n/3) asked:
-    weight as a bytes of length 4a, and the roots b <= a of each residue as
+    weight as a bytes of length 4a, the roots b <= a of each residue as
     array('H') links, first[r] the least and nxt[b] the next, a + 1 ending
-    both.  It holds 14 a bytes at a, about 120 KiB at n <= 10^4 and 1 MiB
-    at the cap.
+    both, and the itemgetter of the half period.  The getter takes at least
+    a + 1 >= 2 residues, so it returns a tuple, and they are int objects
+    from one list(range(4 top)), built only when the table grows.  It
+    holds about 22 a bytes at a, about 190 KiB at n <= 10^4 and 1.5 MiB at
+    the cap: the gathers trade 8 a bytes at a for the per-t arithmetic of
+    the bulk.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
     _check_budget("n", n, _ROW_CAP, "the class-number row does O(n) work")
     N = 4 * n
     top = isqrt(N // 3)   # the a with 3 a^2 <= N
-    for a in range(len(_ROOTS) + 1, top + 1):
-        m = 4 * a
-        weight = bytearray(m)
-        first = array("H", [a + 1]) * m
-        nxt = array("H", [a + 1]) * (a + 1)
-        for b in range(a, -1, -1):
-            r = b * b % m
-            weight[r] += 1 if b == 0 or b == a else 2
-            nxt[b], first[r] = first[r], b
-        _ROOTS.append((bytes(weight), first, nxt))
-    discs = [t * t - N for t in range(isqrt(N - 1) + 1)]
-    forms = [0] * len(discs)   # the forms with c > a of the t with |D_t| > 4 a^2
-    row = [0] * len(discs)
-    for a, (weight, first, nxt) in enumerate(islice(_ROOTS, top), 1):
+    if top > len(_ROOTS):
+        ints = list(range(4 * top))   # one int object per residue, shared by the getters
+        for a in range(len(_ROOTS) + 1, top + 1):
+            m = 4 * a
+            # the t^2 mod 4a of 0 <= t <= a, and of t = 20 too at a = 19: CPython
+            # 3.11 and 3.12 put a freed 20-tuple on a free list that never hands
+            # one out, so a 20-item gather per row would keep 2000 of them, 368 KB
+            squares = [ints[b * b % m] for b in range(a + 2 if a == 19 else a + 1)]
+            weight = bytearray(m)
+            first = array("H", [a + 1]) * m
+            nxt = array("H", [a + 1]) * (a + 1)
+            for b in range(a, -1, -1):
+                r = squares[b]
+                weight[r] += 1 if b == 0 or b == a else 2
+                nxt[b], first[r] = first[r], b
+            _ROOTS.append((bytes(weight), first, nxt, itemgetter(*squares)))
+    T = isqrt(N - 1) + 1
+    discs = [t * t - N for t in range(T)]
+    packed = 0   # 4 bytes a t: the forms with c > a of the t with |D_t| > 4 a^2
+    row = [0] * T
+    for a, (weight, first, nxt, squares) in enumerate(islice(_ROOTS, top), 1):
         m = 4 * a
         bulk = isqrt(N - 4 * a * a - 1) + 1 if a * a < n else 0   # |D_t| > 4 a^2
         if bulk:
-            period = bytes(map(weight.__getitem__, map(mod, discs[:min(bulk, 2 * a)], repeat(m))))
-            forms[:bulk] = map(add, forms[:bulk], period * (bulk // (2 * a) + 1))
+            s = -N % m
+            half = bytes(squares(weight[s:] + weight[:s]))   # weight[D_t mod 4a], t <= a
+            period = half + half[2 * a - len(half):0:-1]   # D_{2a-t} = D_t (mod 4a)
+            slots = bytearray(4 * bulk)
+            slots[::4] = (period * (bulk // (2 * a) + 1))[:bulk]
+            packed += int.from_bytes(slots, "little")
         for t in range(bulk, isqrt(N - 3 * a * a) + 1):   # 3 a^2 <= |D_t| <= 4 a^2
             D = discs[t]
             b = first[D % m]
@@ -228,7 +257,8 @@ def hurwitz6_row(n: int) -> list[int]:
                 elif c == a:
                     row[t] += 3 if b == 0 else 2 if b == a else 6
                 b = nxt[b]
-    return [6 * f + x for f, x in zip(forms, row)]
+    forms = iter_unpack("<I", packed.to_bytes(4 * T, "little"))   # 1-tuples, never 20
+    return [6 * f + x for (f,), x in zip(forms, row)]
 
 
 def class_number_scan(D: int) -> int:

@@ -322,12 +322,16 @@ def test_hurwitz6_row_from_an_empty_table_on_random_n(n):
 
 
 def test_row_table_counts_the_roots():
-    # entry a - 1: weight[r] = #{b mod 2a : b^2 = r (mod 4a)}, and the links
-    # list the b <= a with b^2 = r (mod 4a) in increasing order, a + 1 ending
+    # entry a - 1: weight[r] = #{b mod 2a : b^2 = r (mod 4a)}, the links
+    # list the b <= a with b^2 = r (mod 4a) in increasing order, a + 1 ending,
+    # and the getter reads the residues t^2 mod 4a of 0 <= t <= a, and of
+    # t = 20 too at a = 19, so that no gather makes a 20-tuple
     hurwitz6_row(4000)
-    for a, (weight, first, nxt) in enumerate(qg._ROOTS[:73], 1):
+    for a, (weight, first, nxt, squares) in enumerate(qg._ROOTS[:73], 1):
         m = 4 * a
         assert list(weight) == [sum(b * b % m == r for b in range(2 * a)) for r in range(m)], a
+        ts = range(21 if a == 19 else a + 1)
+        assert squares(range(m)) == tuple(t * t % m for t in ts), a
         for r in range(m):
             roots, b = [], first[r]
             while b != a + 1:
@@ -364,11 +368,39 @@ def test_row_table_is_one_compact_list(monkeypatch):
     assert [name for name, value in vars(qg).items() if isinstance(value, list)] == ["_ROOTS"]
     assert len(table) == 115
     for a, entry in enumerate(table, 1):
-        assert type(entry) is tuple and [type(x) for x in entry] == [bytes, array, array]
-        assert [len(x) for x in entry] == [4 * a, 4 * a, a + 1]
+        assert type(entry) is tuple
+        assert [type(x) for x in entry] == [bytes, array, array, operator.itemgetter]
+        assert [len(x) for x in entry[:3]] == [4 * a, 4 * a, a + 1]
+        assert len(entry[3].__reduce__()[1]) == (21 if a == 19 else a + 1)
         assert entry[1].typecode == entry[2].typecode == "H"
-    size = sys.getsizeof(table) + sum(sys.getsizeof(e) + sum(map(sys.getsizeof, e)) for e in table)
-    assert size <= 150 * 1024
+    # the getter's index tuple counts too: sys.getsizeof of an itemgetter
+    # leaves it out; 187 KiB measured on CPython 3.11
+    size = sys.getsizeof(table) + sum(
+        sys.getsizeof(e) + sum(map(sys.getsizeof, e)) + sys.getsizeof(e[3].__reduce__()[1])
+        for e in table)
+    assert size <= 230 * 1024
+
+
+def test_row_half_period_mirrors_and_rotates(monkeypatch):
+    # the bulk's period for a: the getter over the rotated weights gives
+    # weight[D_t mod 4a] for 0 <= t <= a (t <= a + 1 at a = 19), and the
+    # mirror D_{2a-t} = D_t (mod 4a) the rest of 0 <= t < 2a
+    monkeypatch.setattr(qg, "_ROOTS", [])
+    hurwitz6_row(10800)
+    assert len(qg._ROOTS) == 120
+    for n in [*range(1, 41), 1000, 9973, 10800, 99991, qg._ROW_CAP]:
+        N = 4 * n
+        for a, (weight, _, _, squares) in enumerate(qg._ROOTS, 1):
+            m = 4 * a
+            s = -N % m
+            half = bytes(squares(weight[s:] + weight[:s]))
+            period = [weight[(t * t - N) % m] for t in range(2 * a)]
+            assert list(half + half[2 * a - len(half):0:-1]) == period, (n, a)
+    # the one 4-byte slot of a t never carries: the weights of a sum to 2a,
+    # so a slot holds at most top (top + 1)
+    assert all(sum(weight) == 2 * a for a, (weight, *_) in enumerate(qg._ROOTS, 1))
+    top = math.isqrt(4 * qg._ROW_CAP // 3)
+    assert top * (top + 1) < 2 ** 32   # 133,590 at the cap
 
 
 def test_hurwitz_examples():
