@@ -15,17 +15,17 @@ one-dimensional space S_k is Delta times the one Eisenstein series E_{k-12}
 (M_8, M_10 and M_14 are one-dimensional: E4^2 = E8, E4 E6 = E10,
 E4^2 E6 = E14), so each eigenform costs one series product after that.
 All of it is exact integer arithmetic.  A series product is a two-point
-Kronecker substitution: each factor is evaluated at +-X, with its even and
-its odd coefficients packed into one integer each in slots that hold the
-proven coefficient bound, and two integer products of half the length give
-the even and the odd coefficients of the product.
+Kronecker substitution: each factor is evaluated at +-X, its even and its odd
+coefficients packed into one integer each, c as c + 2^(8w - 1) >= 0 in a
+w-byte slot that holds the proven bound, and two integer products of half
+the length give the even and the odd coefficients of the product.
 """
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import repeat
 from math import isqrt
-from operator import mul
+from operator import itemgetter, mul
 from typing import NamedTuple
 
 from .exact import _PRINT_BITS, _PRINT_WORK, _check_budget
@@ -92,14 +92,15 @@ def hecke_traces(n: int, weights: Iterable[int]) -> dict[int, TraceTerms]:
     root = isqrt(n)
     square = root * root == n
     divisors = [d for d in range(1, root + 1) if n % d == 0]
-    # U_{k-2}(t, n) at every weight, one list per t of the row.  It is built
-    # as a list: on CPython 3.11, zip(*map(...)) fed to sum(map(mul, ...))
-    # kept one memory block per call alive, and the process grew with use.
+    # U_{k-2}(t, n) at every weight, one list per t of the row.  Each weight
+    # reads its column with itemgetter: a transpose would build tuples of
+    # len(row) items, and CPython 3.11 and 3.12 never reuse a freed 20-tuple.
     us_by_t = list(map(gegenbauer_like, range(len(row)), repeat(n), repeat([k - 2 for k in ks])))
     out = {}
-    for k, us in zip(ks, zip(*us_by_t)):
+    for i, k in enumerate(ks):
         power = n ** (k // 2 - 1)
-        elliptic_6 = 2 * sum(map(mul, us, row)) - us[0] * row[0]   # t = 0 once
+        us = map(itemgetter(i), us_by_t)
+        elliptic_6 = 2 * sum(map(mul, us, row)) - us_by_t[0][i] * row[0]   # t = 0 once
         divisor_sum = sum(2 * d ** (k - 1) for d in divisors)
         if square:
             divisor_sum -= root ** (k - 1)
@@ -164,29 +165,22 @@ class PowerSeriesZ:
     Symbolic Comput. 44, 2009).  Every coefficient c_i of the full product
     h = f g is a sum of at most order + 1 terms, so |c_i| is at most
     bound = (order + 1) * max|a_i| * max|b_j|; w is the least byte count with
-    bound < 2^(8w - 1), so a w-byte slot holds any c_i with its sign.  Let
-    B = 2^(8w) be the slot base and X = 2^(4w), so that X^2 = B.
-
-    Split each factor by parity, f(x) = F_e(x^2) + x F_o(x^2); ``_pack``
-    packs the even and the odd coefficients into F_e(B) and F_o(B), so
-    f(+-X) = F_e(B) +- X F_o(B).  Likewise h(x) = H_e(x^2) + x H_o(x^2), and
-    the two half-length products are
+    bound < 2^(8w - 1).  Let B = 2^(8w) be the slot base and X = 2^(4w), so
+    that X^2 = B.  Split each factor by parity, f(x) = F_e(x^2) + x F_o(x^2),
+    so that f(+-X) = F_e(B) +- X F_o(B).  Likewise h(x) = H_e(x^2) + x H_o(x^2),
+    and the two half-length products are
 
         p1 = f(X) g(X) = h(X) = H_e(B) + X H_o(B),
         p2 = f(-X) g(-X) = h(-X) = H_e(B) - X H_o(B).
 
-    Hence p1 + p2 = 2 H_e(B) and p1 - p2 = 2X H_o(B): both quotients are
-    exact integers, and the shifts by 1 and by 4w + 1 bits that take them
-    lose nothing.  H_e(B) = sum c_(2i) B^i and H_o(B) = sum c_(2i+1) B^i are
-    plain w-byte packings of the even and the odd coefficients of h, and
-    every one of those is below 2^(8w - 1) in absolute value, so the
-    signed-slot reader ``_unpack`` takes them back exactly.  X enters only
-    the evaluations; every read is in base X^2 = B, so the w-byte slot is
-    the one the bound proves.  The low order // 2 + 1 even and
-    (order + 1) // 2 odd slots are read and interleaved.  Two products of
-    half the length cost about 2 (1/2)^1.585, two thirds, of one Karatsuba
-    product of the full length.  f * f packs f once and squares both
-    evaluations.
+    Hence p1 + p2 = 2 H_e(B) and p1 - p2 = 2X H_o(B), and both shifts are
+    exact.  ``_pack`` and ``_unpack`` keep c in its w-byte slot, in base
+    X^2 = B, as c + 2^(8w - 1), in [0, B), so no slot borrows from the next;
+    the low order // 2 + 1 even and (order + 1) // 2 odd slots of H_e(B) and
+    H_o(B) are read and interleaved.  Two products of half the length cost
+    about 2 (1/2)^1.585, two thirds, of one Karatsuba product of the full
+    length.  f * f evaluates f once, and CPython squares an int multiplied
+    by itself.
     """
 
     __slots__ = ("coeffs", "order")
@@ -208,42 +202,41 @@ class PowerSeriesZ:
         if not bound:
             return PowerSeriesZ([], n)
         w = bound.bit_length() // 8 + 1   # bound < 2^(8w - 1)
-        half = 4 * w                       # X = 2^half
-        even, odd = _pack(self.coeffs[::2], w), _pack(self.coeffs[1::2], w) << half
-        if other is self:
-            p1, p2 = even + odd, even - odd
-            p1, p2 = p1 * p1, p2 * p2
-        else:
-            g_even, g_odd = _pack(other.coeffs[::2], w), _pack(other.coeffs[1::2], w) << half
-            p1, p2 = (even + odd) * (g_even + g_odd), (even - odd) * (g_even - g_odd)
-            del g_even, g_odd
-        del even, odd
+        f = _at_plus_minus_x(self.coeffs, w)
+        p1, p2 = map(mul, f, f if other is self else _at_plus_minus_x(other.coeffs, w))
+        del f
         coeffs = [0] * (n + 1)
         coeffs[::2] = _unpack((p1 + p2) >> 1, w, n // 2 + 1)
-        coeffs[1::2] = _unpack((p1 - p2) >> (half + 1), w, (n + 1) // 2)
+        coeffs[1::2] = _unpack((p1 - p2) >> (4 * w + 1), w, (n + 1) // 2)
         return PowerSeriesZ(coeffs, n)
 
 
+def _at_plus_minus_x(coeffs: list[int], w: int) -> tuple[int, int]:
+    # f(X), f(-X) = F_e(B) +- X F_o(B), with X = 2^(4w) and B = X^2
+    even, odd = _pack(coeffs[::2], w), _pack(coeffs[1::2], w) << (4 * w)
+    return even + odd, even - odd
+
+
+def _bias(w: int, count: int) -> int:
+    # 2^(8w - 1) in each of count w-byte slots
+    return int.from_bytes((bytes(w - 1) + b"\x80") * count, "little")
+
+
 def _pack(coeffs: list[int], w: int) -> int:
-    # sum c_i 2^(8 w i), as the difference of the positive and negative parts
-    zero = bytes(w)
-    pos = b"".join(c.to_bytes(w, "little") if c > 0 else zero for c in coeffs)
-    neg = b"".join((-c).to_bytes(w, "little") if c < 0 else zero for c in coeffs)
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+    # sum c_i 2^(8 w i), given |c_i| < 2^(8w - 1), from the slots c_i + 2^(8w - 1) >= 0
+    bias = 1 << (8 * w - 1)
+    packed = b"".join((c + bias).to_bytes(w, "little") for c in coeffs)
+    return int.from_bytes(packed, "little") - _bias(w, len(coeffs))
 
 
 def _unpack(packed: int, w: int, count: int) -> list[int]:
-    # c_0..c_(count-1) of packed = sum c_i 2^(8 w i), given |c_i| < 2^(8w - 1).
-    # The low slots hold packed mod 2^(8 slots).  Slot i read as signed is
-    # c_i minus the borrow out of slot i - 1, which is 1 exactly when slot
-    # i - 1 reads negative, that is when its top byte raw[i - 1] is at least
-    # 128; since |c_i| < 2^(8w - 1), every read stays in
-    # [-2^(8w - 1), 2^(8w - 1)).  The extra zero byte at the end is raw[-1],
-    # so slot 0 has no borrow.
+    # c_0..c_(count-1) of packed = sum c_i 2^(8 w i), given |c_i| < 2^(8w - 1).  With
+    # the bias, low slot i holds c_i + 2^(8w - 1) in [0, 2^(8w)), and the mask drops
+    # the slots above, a multiple of 2^(8 w count); no slot borrows from the next.
     slots = w * count
-    raw = (packed & ((1 << (8 * slots)) - 1)).to_bytes(slots + 1, "little")
-    return [int.from_bytes(raw[i : i + w], "little", signed=True) + (raw[i - 1] > 127)
-            for i in range(0, slots, w)]
+    raw = ((packed + _bias(w, count)) & ((1 << (8 * slots)) - 1)).to_bytes(slots, "little")
+    bias = 1 << (8 * w - 1)
+    return [int.from_bytes(raw[i : i + w], "little") - bias for i in range(0, slots, w)]
 
 
 def _eta_cubed(order: int) -> PowerSeriesZ:

@@ -74,6 +74,10 @@ def _check_disc(D: int) -> None:
                   "the independent scan, class_number_scan, does O(|D|) work and sets the cap")
 
 
+def _check_L_disc(disc: int) -> None:
+    _check_budget("|disc|", abs(disc), _L_DISC_CAP, "L(1, chi) evaluates 2|disc| digamma values")
+
+
 def _sqrt_mod(a: int, p: int) -> int:
     """A square root of a modulo the odd prime p, for a square a (Tonelli-Shanks).
 
@@ -322,6 +326,8 @@ def quad_field_data(d: int) -> QuadFieldData:
     if d >= 0 or not is_squarefree(d):
         raise ValueError("d must be a negative squarefree integer")
     disc = fundamental_discriminant(d)
+    _check_disc(disc)     # every caller sums L(1, chi): both caps refuse
+    _check_L_disc(disc)   # before the class number
     return QuadFieldData(d, disc, _roots_of_unity(disc), class_number(disc))
 
 
@@ -354,7 +360,7 @@ def dirichlet_L1(disc: int, terms: int) -> tuple[float, float]:
     digamma values whatever the budget (Cohen, GTM 138, section 5.3), and
     |disc| is capped at 10^6.  The package's callers pass terms = L_TERMS.
     """
-    _check_budget("|disc|", abs(disc), _L_DISC_CAP, "L(1, chi) evaluates 2|disc| digamma values")
+    _check_L_disc(disc)
     if not is_fundamental_discriminant(disc):
         raise ValueError(f"{disc} is not a fundamental discriminant")
     period = abs(disc)
@@ -447,18 +453,17 @@ def global_identity_check(trace: int, det: int) -> GlobalIdentityReport:
         raise ValueError("need an elliptic element: trace^2 - 4 det < 0")
     d0 = squarefree_part(Fraction(disc))
     K = quad_field_data(d0)
-    conductor_sq = Fraction(disc, K.disc)
-    conductor = isqrt(conductor_sq.numerator)
-    if conductor_sq.denominator != 1 or conductor * conductor != conductor_sq.numerator:
-        raise ValueError("discriminant is not conductor^2 times a fundamental discriminant")
 
+    # disc = d0 s^2, K.disc = d0 or 4 d0, and s is even if d0 = 2, 3 (mod 4): so
+    # disc = f^2 K.disc, and ord_p(f) is the depth d of the local class at p in S.
     S = sorted({p for n in (disc, det) for p, _ in _prime_powers(n)})
     local = {}
-    prod_o_can = Fraction(1)
+    prod_o_can, conductor = Fraction(1), 1
     for p in S:
         rep = full_report(Fraction(trace), Fraction(det), p)
         local[str(p)] = rep
         prod_o_can *= rep.O_canonical
+        conductor *= p ** rep.orbit_class.d
     volume = finite_adelic_volume(K) * prod_o_can
     if max(volume, prod_o_can) > sys.float_info.max:
         factored = " * ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in _prime_powers(det))

@@ -383,6 +383,55 @@ def test_series_product_at_the_slot_bound(order, top):
         assert (PowerSeriesZ(a, order) * PowerSeriesZ(one, order)).coeffs == _dense_product(a, one)
 
 
+# (w, order, max|a|, max|b|) with constant factors, so the q^order coefficient is
+# (order + 1) max|a| max|b|, within 7 units below 2^(8w - 1); even and odd orders
+# put it in the even and the odd half
+_SLOT_EDGE_PRODUCTS = [
+    (1, 0, 127, 1), (1, 126, 1, 1), (1, 1, 63, 1), (1, 4, 5, 5),
+    (2, 0, 181, 181), (2, 6, 31, 151), (2, 5, 43, 127),
+    (3, 0, 1, 8388607), (3, 46, 1, 178481), (3, 5, 1, 1398101),
+]
+
+
+@pytest.mark.parametrize("w, order, top_a, top_b", _SLOT_EDGE_PRODUCTS)
+def test_series_product_at_the_slot_edges(w, order, top_a, top_b):
+    edge = 2 ** (8 * w - 1)
+    assert (order + 1) * top_a * top_b in range(edge - 7, edge)   # so the slot is w bytes
+    for sign in (1, -1):
+        a, b = [sign * top_a] * (order + 1), [top_b] * (order + 1)
+        product = (PowerSeriesZ(a, order) * PowerSeriesZ(b, order)).coeffs
+        assert product == _dense_product(a, b)
+        assert abs(product[order]) > edge - 8
+
+
+# (w, order, max|a|): f * f with f constant, or alternating, puts
+# (-1)^order (order + 1) max|a|^2 at q^order, within 8 units below 2^(8w - 1) at
+# w = 1 and 2.  No m t^2 with m <= 3000 lies within 64 below 2^23, so the w = 3
+# cases sit 0.02% and 0.1% below it; the round trip below reads the w = 3 edge.
+@pytest.mark.parametrize("w, order, top", [(1, 126, 1), (1, 125, 1), (1, 13, 3), (1, 4, 5),
+                                           (2, 0, 181), (2, 909, 6), (3, 0, 2896), (3, 1, 2047)])
+def test_series_square_at_the_slot_edges(w, order, top):
+    assert ((order + 1) * top * top).bit_length() == 8 * w - 1   # so the slot is w bytes
+    for f in ([top] * (order + 1), [(-1) ** i * top for i in range(order + 1)]):
+        square = PowerSeriesZ(f, order)
+        product = (square * square).coeffs
+        assert product == _dense_product(f, f)
+    assert product[order] == (-1) ** order * (order + 1) * top * top
+
+
+@pytest.mark.parametrize("w", [1, 2, 3])
+def test_slots_round_trip_at_the_edges_and_ignore_the_slots_above(w):
+    edge = 2 ** (8 * w - 1)
+    near = [edge - 1, 1 - edge, edge - 2, 2 - edge, 0, 1, -1, edge // 2, -edge // 2]
+    coeffs = near + near[::-1] + [c for c in near for _ in range(2)]
+    packed = es._pack(coeffs, w)
+    assert packed == sum(c << (8 * w * i) for i, c in enumerate(coeffs))
+    assert es._unpack(packed, w, len(coeffs)) == coeffs
+    for count in range(len(coeffs) + 1):
+        for above in (1, -1, edge, 3 ** 200, -(3 ** 200)):
+            assert es._unpack(packed + (above << (8 * w * count)), w, count) == coeffs[:count]
+
+
 def _bernoulli(m):
     # B_0..B_m from sum_{j <= i} C(i + 1, j) B_j = 0 for i >= 1
     B = [F(1)]

@@ -488,6 +488,27 @@ def test_dirichlet_L1_budget_admits_the_cap(monkeypatch):
         dirichlet_L1(-24, 10 ** 4)
 
 
+@pytest.mark.parametrize("entry, args", [(cnf_report, (-9999991,)),
+                                         (global_identity_check, (1, 2500000))],
+                         ids=["cnf", "global-check"])
+def test_L_budget_refuses_before_the_class_number_and_the_local_reports(
+        monkeypatch, entry, args):
+    # |disc| = 9999991 and 1111111: inside the class-number cap, past L(1, chi)'s
+    monkeypatch.setattr(qg, "class_number", _refuse)
+    monkeypatch.setattr(qg, "full_report", _refuse)
+    with pytest.raises(ValueError, match=rf"must be at most {qg._L_DISC_CAP}: L\(1, chi\) "
+                                         r"evaluates 2\|disc\| digamma values"):
+        entry(*args)
+
+
+def test_L_budget_comes_after_the_class_number_cap(monkeypatch):
+    monkeypatch.setattr(qg, "class_number", _refuse)
+    for refused in (lambda: cnf_report(-(10 ** 9 + 7)),
+                    lambda: global_identity_check(1, 10 ** 9 + 7)):
+        with pytest.raises(ValueError, match=rf"at most {qg._DISC_CAP}: the independent scan"):
+            refused()
+
+
 def test_dirichlet_L1_preconditions():
     with pytest.raises(ValueError):
         dirichlet_L1(-9, 10 ** 4)
@@ -543,6 +564,18 @@ def test_global_identity_off_s_failure_is_arithmetic_error(monkeypatch):
 def test_global_identity_rejects_hyperbolic():
     with pytest.raises(ValueError):
         global_identity_check(5, 6)
+
+
+def test_global_conductor_squared_times_field_disc_is_the_discriminant():
+    # the conductor is read from the local depths; t = 0 or m and n = m^2 give
+    # conductors m over the fields of discriminant -4 and -3
+    pairs = [(t, n) for n in range(1, 25) for t in range(-9, 10) if t * t < 4 * n]
+    pairs += [(t, m * m) for m in range(2, 40) for t in (0, m)]
+    assert len(pairs) > 300
+    for trace, det in pairs:
+        rep = global_identity_check(trace, det)
+        assert rep.conductor ** 2 * rep.field.disc == trace * trace - 4 * det, (trace, det)
+    assert global_identity_check(0, 36 ** 2).conductor == 36
 
 
 def test_residual_within_proven_bound():
