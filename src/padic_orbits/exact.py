@@ -118,40 +118,45 @@ def _prime_powers(n: int):
         yield n, 1
 
 
-def squarefree_part(x: Fraction) -> int:
-    """The unique squarefree integer d with x = d * (rational square), x != 0."""
-    if x == 0:
-        raise ValueError("squarefree part of zero undefined")
-    # x has the square class of numerator * denominator; the two are coprime,
-    # so each is factored on its own within the trial-division budget.  A
-    # perfect square, such as the denominator t^2 of a discriminant built
-    # from a rational trace, contributes nothing and is not factored.
-    out = -1 if x < 0 else 1
-    for n in (abs(x.numerator), x.denominator):
-        if isqrt(n) ** 2 == n:
-            continue
-        for p, e in _prime_powers(n):
-            if e % 2:
-                out *= p
-    return out
+def disc_split(x: RationalLike) -> tuple[int, int, int]:
+    """(D0, f_num, f_den) with x = D0 (f_num / f_den)^2, f in lowest terms, for x != 0.
+
+    D0 is the fundamental discriminant of Q(sqrt x), or 1 for a square x, and
+    for x = t^2 - 4n, f is the conductor of Z[gamma].  x's numerator and
+    denominator are coprime and factored once each, and the split is built
+    and checked in integers.
+    """
+    num, den = x.numerator, x.denominator
+    if num == 0:
+        raise ValueError("the split of zero is undefined")
+    a, u = _square_split(abs(num))
+    b, v = _square_split(den) if den > 1 else (1, 1)
+    D0, f_num, f_den = (a if num > 0 else -a) * b, u, b * v   # x = D0 (u / (b v))^2
+    if D0 % 4 != 1:   # the discriminant is 4 D0, and f halves
+        D0, f_num, f_den = (4 * D0, u // 2, f_den) if u % 2 == 0 else (4 * D0, u, 2 * f_den)
+    if D0 * f_num * f_num * den != num * f_den * f_den:
+        raise ArithmeticError(f"the split of {_printable(num)}/{_printable(den)} as D0 f^2 "
+                              f"does not multiply back")
+    return D0, f_num, f_den
 
 
-def fundamental_discriminant(d: int) -> int:
-    """Fundamental discriminant of Q(sqrt(d)) for squarefree d != 0, 1."""
-    if d in (0, 1) or not is_squarefree(d):
-        raise ValueError(f"{d} is not squarefree != 0, 1")
-    return d if d % 4 == 1 else 4 * d
+def _square_split(n: int) -> tuple[int, int]:
+    """(core, root) with n = core root^2 and core squarefree; a square n is not factored."""
+    root = isqrt(n)
+    if root * root == n:
+        return 1, root
+    core = root = 1
+    for p, e in _prime_powers(n):
+        if e % 2:
+            core *= p
+        if e > 1:
+            root *= p ** (e // 2)
+    return core, root
 
 
 def is_fundamental_discriminant(D: int) -> bool:
-    if D == 0 or D == 1:
-        return False
-    if D % 4 == 1:
-        return is_squarefree(D)
-    if D % 4 == 0:
-        d = D // 4
-        return d % 4 in (2, 3) and is_squarefree(d)
-    return False
+    # D = 1 (mod 4), or D = 4 d with d = 2, 3 (mod 4), before D is factored
+    return D != 1 and (D % 4 == 1 or D % 16 in (8, 12)) and disc_split(D)[0] == D
 
 
 def ord_p(x: RationalLike, p: int) -> int:

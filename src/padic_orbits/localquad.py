@@ -18,7 +18,7 @@ from .exact import (
     QHalfPower,
     _ord,
     _require_prime,
-    fundamental_discriminant,
+    disc_split,
     is_squarefree,
 )
 
@@ -217,14 +217,14 @@ def classnum_local_check(d: int, p: int) -> bool:
 
     The right side is one scalar: the coefficient (1 - 1/p)(1 - chi(p)/p) is
     the Fraction (p - 1)(p - chi(p)) / p^2, and |Delta|_p^(1/2) is the
-    half-exponent -ord_p(Delta).  d is tested for squarefreeness once, by
-    ``fundamental_discriminant``, and p for primality once; chi(p) is then
-    the Kronecker symbol (Delta/p) of that discriminant, and the closed form
-    and the valuation are read without checking either again.
+    half-exponent -ord_p(Delta).  d is factored once, by ``disc_split``:
+    d is squarefree exactly when the split's D0 is d for d = 1 (mod 4) and
+    4 d otherwise, and then D0 is Delta.  p is tested for primality once;
+    chi(p) is then the Kronecker symbol (Delta/p), and the closed form and
+    the valuation are read without checking either again.
     """
-    if d >= 0:
+    if d >= 0 or (disc := disc_split(d)[0]) != (d if d % 4 == 1 else 4 * d):
         raise ValueError("d must be a negative squarefree integer")
-    disc = fundamental_discriminant(d)
     _require_prime(p)
     lhs = _unit_group_volume(_classify(d, p), p)
     chi = kronecker_symbol(disc, p)

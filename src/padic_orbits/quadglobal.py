@@ -44,14 +44,13 @@ from typing import NamedTuple
 from .exact import (
     _check_budget,
     _prime_powers,
-    fundamental_discriminant,
+    disc_split,
     is_fundamental_discriminant,
     is_prime,
-    is_squarefree,
-    squarefree_part,
 )
-from .gl2local import full_report
+from .gl2local import report_for_class
 from .localquad import kronecker_symbol
+from .weylsteinberg import class_from_split
 
 
 # The one cap of every class-number entry point.  The walk sieves in
@@ -323,9 +322,10 @@ class QuadFieldData(NamedTuple):
 
 
 def quad_field_data(d: int) -> QuadFieldData:
-    if d >= 0 or not is_squarefree(d):
+    """Q(sqrt d) for a negative d, factored once: d is squarefree exactly when the
+    D0 of ``disc_split(d)`` is d for d = 1 (mod 4) and 4 d otherwise."""
+    if d >= 0 or (disc := disc_split(d)[0]) != (d if d % 4 == 1 else 4 * d):
         raise ValueError("d must be a negative squarefree integer")
-    disc = fundamental_discriminant(d)
     _check_disc(disc)     # every caller sums L(1, chi): both caps refuse
     _check_L_disc(disc)   # before the class number
     return QuadFieldData(d, disc, _roots_of_unity(disc), class_number(disc))
@@ -444,26 +444,25 @@ def global_identity_check(trace: int, det: int) -> GlobalIdentityReport:
     assembled from the product of local conversions; after the product
     formula this is sqrt|disc| L(1, chi) / (2 pi) times the same O_can
     product, so the relative residual measures the analytic class number
-    formula with every exact local factor in place.  An element whose O_can
-    product, or that product times h/w, lies beyond the largest float is
-    refused with a ValueError before the L-value is summed.
+    formula with every exact local factor in place.  disc is split once, as
+    D0 f^2: D0 is the field's discriminant, the conductor is f, and every
+    local class, in S and at five primes outside it, is read off the split.
+    An element whose O_can product, or that product times h/w, lies beyond
+    the largest float is refused with a ValueError before L is summed.
     """
     disc = trace * trace - 4 * det
     if disc >= 0:
         raise ValueError("need an elliptic element: trace^2 - 4 det < 0")
-    d0 = squarefree_part(Fraction(disc))
-    K = quad_field_data(d0)
+    D0, f, _ = disc_split(disc)   # disc = 0, 1 (mod 4), so f is an integer
+    K = quad_field_data(D0 if D0 % 4 == 1 else D0 // 4)
 
-    # disc = d0 s^2, K.disc = d0 or 4 d0, and s is even if d0 = 2, 3 (mod 4): so
-    # disc = f^2 K.disc, and ord_p(f) is the depth d of the local class at p in S.
     S = sorted({p for n in (disc, det) for p, _ in _prime_powers(n)})
     local = {}
-    prod_o_can, conductor = Fraction(1), 1
+    prod_o_can = Fraction(1)
     for p in S:
-        rep = full_report(Fraction(trace), Fraction(det), p)
+        rep = report_for_class(class_from_split(D0, f, 1, p))
         local[str(p)] = rep
         prod_o_can *= rep.O_canonical
-        conductor *= p ** rep.orbit_class.d
     volume = finite_adelic_volume(K) * prod_o_can
     if max(volume, prod_o_can) > sys.float_info.max:
         factored = " * ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in _prime_powers(det))
@@ -477,7 +476,7 @@ def global_identity_check(trace: int, det: int) -> GlobalIdentityReport:
     p, found = 2, 0
     while found < 5:
         if is_prime(p) and disc % p and det % p:
-            rep = full_report(Fraction(trace), Fraction(det), p)
+            rep = report_for_class(class_from_split(D0, f, 1, p))
             off_samples[str(p)] = rep.O_canonical
             if rep.O_canonical != 1:
                 raise ArithmeticError(f"off-S canonical integral != 1 at p = {p}")
@@ -490,6 +489,6 @@ def global_identity_check(trace: int, det: int) -> GlobalIdentityReport:
     residual = abs(lhs - rhs) / abs(rhs)
     bound = L_bound / L_value + 1e-12
     return GlobalIdentityReport(
-        trace, det, K, conductor, tuple(S), local, off_samples,
+        trace, det, K, f, tuple(S), local, off_samples,
         prod_o_can, lhs, rhs, L_value, L_bound, residual, bound,
     )

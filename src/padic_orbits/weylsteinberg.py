@@ -14,12 +14,11 @@ from .exact import (
     _PRINT_BITS,
     _PRINT_WORK,
     _check_budget,
+    _ord,
     _require_prime,
-    fundamental_discriminant,
-    ord_p,
-    squarefree_part,
+    disc_split,
 )
-from .localquad import QuadKind, classify_quad
+from .localquad import QuadKind, _classify
 
 
 class GroupKind(enum.Enum):
@@ -149,33 +148,29 @@ class Gl2OrbitClass(_Gl2OrbitClass):
 def gl2_orbit_class(trace: Fraction, det: Fraction, p: int) -> Gl2OrbitClass:
     """The orbit class at p of a regular semisimple GL2 element.
 
-    The discriminant tr^2 - 4 det factors as f^2 * D0 with D0 the fundamental
-    discriminant of its square class; the kind is that of Q_p(sqrt(D0)) and
-    the depth is d = ord_p(f).  Inputs whose conductor f has negative
-    valuation (eigenvalues outside the standard lattice setting) are
-    rejected.
+    The discriminant tr^2 - 4 det is split once, by ``disc_split``, as
+    D0 f^2 with D0 the fundamental discriminant of its square class and f
+    the conductor; ``class_from_split`` reads the class off the split.
     """
     p = _require_prime(p)
     trace, det = Fraction(trace), Fraction(det)
     disc = trace * trace - 4 * det
     if disc == 0:
         raise ValueError("not regular semisimple: zero discriminant")
-    d0 = squarefree_part(disc)
-    if d0 == 1:
-        delta0, kind = 1, OrbitKind.HYPERBOLIC
-    else:
-        delta0 = fundamental_discriminant(d0)
-        kind = _KIND_FROM_QUAD[classify_quad(d0, p).kind]
-    conductor_sq = disc / delta0  # always a square of a rational
-    d_gamma = ord_p(conductor_sq, p)
-    if d_gamma % 2:
-        raise ArithmeticError(
-            f"conductor^2 = {conductor_sq} has odd valuation at p = {p} "
-            f"(trace {trace}, det {det})")
-    d_gamma //= 2
-    if d_gamma < 0:
+    return class_from_split(*disc_split(disc), p)
+
+
+def class_from_split(D0: int, f_num: int, f_den: int, p: int) -> Gl2OrbitClass:
+    """The class at a prime p of an element whose discriminant is D0 (f_num / f_den)^2.
+
+    The kind is that of Q_p(sqrt D0), which ``_classify`` reads off D0 as off
+    its squarefree part (split for D0 = 1), and the depth is d = ord_p(f).  A
+    conductor of negative valuation (eigenvalues off the lattice) is rejected.
+    """
+    d = _ord(f_num, p) - _ord(f_den, p)
+    if d < 0:
         raise ValueError("inconsistent valuation data: negative depth")
-    return Gl2OrbitClass(kind, d_gamma, p)
+    return Gl2OrbitClass(_KIND_FROM_QUAD[_classify(D0, p).kind], d, p)
 
 
 # --------------------------------------------------------------------------

@@ -70,6 +70,37 @@ def test_criterion_6_fails_exactly_when_its_report_is_not_ok(monkeypatch):
         f"FAIL: X^2 - 1 X + 6: residual {rep.residual} not within bound {rep.bound}"]
 
 
+def test_each_discriminant_is_factored_once(monkeypatch):
+    # _prime_powers, trial division, counted where exact and quadglobal call it
+    from padic_orbits import exact, quadglobal, weylsteinberg
+
+    calls = []
+    real = exact._prime_powers
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(exact, "_prime_powers", counted)
+    monkeypatch.setattr(quadglobal, "_prime_powers", counted)
+
+    def count(fn, *args):
+        calls.clear()
+        fn(*args)
+        return len(calls)
+
+    assert count(weylsteinberg.gl2_orbit_class, Fraction(1), Fraction(6), 5) == 1
+    assert count(quadglobal.quad_field_data, -23) == 1
+    # the split of disc, the field's d, the factors of disc and det for S,
+    # and the fundamental-discriminant test of L(1, chi)
+    assert count(quadglobal.global_identity_check, 1, 6) <= 5
+    criteria = dict(acceptance.CRITERIA)
+    assert count(criteria["global-identity"]) <= 15
+    # no more than when three functions split each discriminant in turn
+    assert count(criteria["local-cnf"]) <= 515
+    assert count(criteria["cnf"]) <= 262
+
+
 def test_criterion_7_trace_formula_vs_oracle():
     _report(acceptance.criterion_7_trace_formula(), 60)
 

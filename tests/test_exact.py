@@ -15,13 +15,12 @@ from padic_orbits.exact import (
     QHalfPower,
     _prime_powers,
     _require_prime,
-    fundamental_discriminant,
+    disc_split,
     is_fundamental_discriminant,
     is_prime,
     is_squarefree,
     ord_p,
     qhalf,
-    squarefree_part,
     to_json,
 )
 from padic_orbits.weylsteinberg import Gl2OrbitClass, OrbitKind
@@ -251,22 +250,57 @@ def test_is_prime_is_deterministic_only_below_psi_13():
 
 def test_squarefree_helpers():
     assert is_squarefree(-6) and is_squarefree(1) and not is_squarefree(12)
-    assert squarefree_part(Fraction(18)) == 2
-    assert squarefree_part(Fraction(-20)) == -5
-    assert squarefree_part(Fraction(9, 4)) == 1
-    assert fundamental_discriminant(-1) == -4
-    assert fundamental_discriminant(-3) == -3
-    assert fundamental_discriminant(-23) == -23
-    assert fundamental_discriminant(2) == 8
+    assert disc_split(Fraction(18)) == (8, 3, 2)           # 18 = 8 (3/2)^2
+    assert disc_split(Fraction(-20)) == (-20, 1, 1)
+    assert disc_split(Fraction(9, 4)) == (1, 3, 2)
+    assert disc_split(-1) == (-4, 1, 2)
+    assert disc_split(-3) == (-3, 1, 1)
+    assert disc_split(-23) == (-23, 1, 1)
+    assert disc_split(2) == (8, 1, 2)
+    assert disc_split(-1008) == (-7, 12, 1)                # t = 0, n = 252
+    assert disc_split(Fraction(-15, 4)) == (-15, 1, 2)     # t = -1/2, n = 1
     assert is_fundamental_discriminant(-4)
     assert not is_fundamental_discriminant(-9)
+    with pytest.raises(ValueError):
+        disc_split(0)
+
+
+def _reference_split(a, b):
+    """(D0, f) of a/b by trial: the largest square dividing a b, then D0 = 1, 4 (mod 4)."""
+    n = a * b
+    s = max(k for k in range(1, math.isqrt(abs(n)) + 1) if n % (k * k) == 0)
+    d = n // (s * s)
+    D0 = d if d % 4 == 1 else 4 * d
+    return D0, Fraction(s, b) * (1 if d % 4 == 1 else Fraction(1, 2))
+
+
+def test_disc_split_matches_a_split_by_trial():
+    for b in range(1, 31):
+        for a in range(-300, 301):
+            if a == 0:
+                continue
+            x = Fraction(a, b)
+            D0, f_num, f_den = disc_split(x)
+            assert math.gcd(f_num, f_den) == 1 and f_num > 0 and f_den > 0
+            assert (D0, Fraction(f_num, f_den)) == _reference_split(x.numerator, x.denominator), x
+            assert D0 == 1 or is_fundamental_discriminant(D0)
+
+
+def test_fundamental_discriminants_by_definition():
+    def squarefree(n):
+        return n != 0 and all(n % (k * k) for k in range(2, math.isqrt(abs(n)) + 1))
+
+    for D in range(-2000, 2001):
+        expected = D != 1 and (D % 4 == 1 and squarefree(D)
+                               or D % 4 == 0 and D // 4 % 4 in (2, 3) and squarefree(D // 4))
+        assert is_fundamental_discriminant(D) == expected, D
 
 
 # The trial-division loop, and the two functions that factor through it.
 _TRIAL_ENTRIES = [
     pytest.param(is_squarefree, id="is_squarefree"),
     pytest.param(lambda n: list(_prime_powers(n)), id="_prime_powers"),
-    pytest.param(lambda n: squarefree_part(Fraction(n)), id="squarefree_part"),
+    pytest.param(disc_split, id="disc_split"),
 ]
 
 
@@ -291,7 +325,7 @@ def test_trial_division_budget_admits_the_cap():
     assert is_squarefree(-p) and list(_prime_powers(p)) == [(p, 1)]
     assert not is_squarefree(10 ** 12)
     assert list(_prime_powers(-10 ** 12)) == [(2, 12), (5, 12)]
-    assert squarefree_part(Fraction(-p, 2 ** 39)) == -2 * p
+    assert disc_split(Fraction(-p, 2 ** 39)) == (-8 * p, 1, 2 ** 21)
 
 
 def test_trial_division_admits_large_n_that_factors_at_once():
@@ -301,9 +335,9 @@ def test_trial_division_admits_large_n_that_factors_at_once():
     assert list(_prime_powers(10 ** 12 + 1)) == [(73, 1), (137, 1), (99990001, 1)]
     assert list(_prime_powers(-10 ** 29)) == [(2, 29), (5, 29)]
     assert is_squarefree(6 * 999_999_999_989) and not is_squarefree(2 ** 40)
-    assert squarefree_part(Fraction(-10 ** 29)) == -10
+    assert disc_split(-10 ** 29) == (-40, 5 * 10 ** 13, 1)
     # a square is not factored: 1000003^2 alone would pass the bound
-    assert squarefree_part(Fraction(3, 1000003 ** 2)) == 3
+    assert disc_split(Fraction(3, 1000003 ** 2)) == (12, 1, 2 * 1000003)
     assert time.perf_counter() - start < 1.0
 
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from padic_orbits.exact import fundamental_discriminant, is_prime, is_squarefree, qhalf
+from padic_orbits.exact import disc_split, is_prime, is_squarefree, qhalf
 from padic_orbits.localquad import (
     P2Detail,
     QuadKind,
@@ -47,7 +47,7 @@ def test_chi_examples():
 def test_chi_consistent_with_classification():
     expected = {QuadKind.SPLIT: 1, QuadKind.UNRAMIFIED: -1, QuadKind.RAMIFIED: 0}
     for d in SQUAREFREE:
-        disc = fundamental_discriminant(d)
+        disc = disc_split(d)[0]
         for p in SMALL_PRIMES:
             assert kronecker_symbol(disc, p) == expected[classify_quad(d, p).kind], (d, p)
 

@@ -495,7 +495,8 @@ def test_L_budget_refuses_before_the_class_number_and_the_local_reports(
         monkeypatch, entry, args):
     # |disc| = 9999991 and 1111111: inside the class-number cap, past L(1, chi)'s
     monkeypatch.setattr(qg, "class_number", _refuse)
-    monkeypatch.setattr(qg, "full_report", _refuse)
+    monkeypatch.setattr(qg, "class_from_split", _refuse)
+    monkeypatch.setattr(qg, "report_for_class", _refuse)
     with pytest.raises(ValueError, match=rf"must be at most {qg._L_DISC_CAP}: L\(1, chi\) "
                                          r"evaluates 2\|disc\| digamma values"):
         entry(*args)
@@ -551,12 +552,12 @@ def test_global_identity_off_s_triviality():
 def test_global_identity_off_s_failure_is_arithmetic_error(monkeypatch):
     import padic_orbits.quadglobal as qg
 
-    original = qg.full_report
+    original = qg.report_for_class
 
-    def corrupted(trace, det, p):
-        return original(trace, det, p)._replace(O_canonical=Fraction(2))
+    def corrupted(c):
+        return original(c)._replace(O_canonical=Fraction(2))
 
-    monkeypatch.setattr(qg, "full_report", corrupted)
+    monkeypatch.setattr(qg, "report_for_class", corrupted)
     with pytest.raises(ArithmeticError, match="off-S canonical integral != 1 at p = 5"):
         global_identity_check(1, 6)
 
@@ -567,7 +568,7 @@ def test_global_identity_rejects_hyperbolic():
 
 
 def test_global_conductor_squared_times_field_disc_is_the_discriminant():
-    # the conductor is read from the local depths; t = 0 or m and n = m^2 give
+    # the conductor is the split's f; t = 0 or m and n = m^2 give
     # conductors m over the fields of discriminant -4 and -3
     pairs = [(t, n) for n in range(1, 25) for t in range(-9, 10) if t * t < 4 * n]
     pairs += [(t, m * m) for m in range(2, 40) for t in (0, m)]
@@ -576,6 +577,7 @@ def test_global_conductor_squared_times_field_disc_is_the_discriminant():
         rep = global_identity_check(trace, det)
         assert rep.conductor ** 2 * rep.field.disc == trace * trace - 4 * det, (trace, det)
     assert global_identity_check(0, 36 ** 2).conductor == 36
+    assert global_identity_check(0, 252).conductor == 12   # disc -1008 = -7 * 12^2
 
 
 def test_residual_within_proven_bound():

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -6,7 +7,9 @@ from hypothesis import assume, given, strategies as st
 
 import padic_orbits.exact as exact
 import padic_orbits.weylsteinberg as ws
+from padic_orbits.cli import main
 from padic_orbits.exact import ord_p
+from padic_orbits.localquad import QuadKind, classify_quad
 from padic_orbits.weylsteinberg import (
     Gl2OrbitClass,
     GroupKind,
@@ -240,7 +243,7 @@ def test_root_square_identity():
             assert D == (-1) ** len(positive) * sq * sq
 
 
-def test_delta_abs_examples():
+def test_gl2_orbit_class_examples():
     assert gl2_orbit_class(F(5), F(6), 5) == Gl2OrbitClass(OrbitKind.HYPERBOLIC, 0, 5)
     cls = gl2_orbit_class(F(0), F(-1), 3)
     assert cls.kind is OrbitKind.HYPERBOLIC and cls.d == 0
@@ -248,7 +251,7 @@ def test_delta_abs_examples():
     assert cls.kind is OrbitKind.UNRAM_ELLIPTIC and cls.d == 0
 
 
-def test_delta_abs_depth_from_conductor():
+def test_gl2_orbit_class_depth_from_conductor():
     # disc = -4, -16, -64 have conductors 1, 2, 4 over Q(i)
     for det, d_expected in ((F(1), 0), (F(4), 1), (F(16), 2)):
         cls = gl2_orbit_class(F(0), det, 2)
@@ -260,7 +263,7 @@ def test_delta_abs_depth_from_conductor():
     assert (cls.kind, cls.d) == (OrbitKind.RAM_ELLIPTIC, 1)
 
 
-def test_delta_abs_ramified_valuation():
+def test_gl2_orbit_class_ramified_valuation():
     # ord_p(disc) = 2d + ord_p(fundamental discriminant)
     for trace, det, p, fundamental in (
         (0, 5, 5, -20),    # disc -20 = -20 * 1^2
@@ -273,7 +276,7 @@ def test_delta_abs_ramified_valuation():
         assert ord_p(trace * trace - 4 * det, p) == 2 * cls.d + ord_p(fundamental, p)
 
 
-def test_delta_abs_depth_from_eigenvalue_valuations():
+def test_gl2_orbit_class_depth_from_eigenvalue_valuations():
     # split classes built from unit eigenvalue pairs: d = ord_p(l1 - l2)
     rng = random.Random(23)
     for p in (3, 5, 7):
@@ -290,20 +293,80 @@ def test_delta_abs_depth_from_eigenvalue_valuations():
                 assert cls.d == d_target == ord_p(F(b - a), p)
 
 
-def test_delta_abs_errors():
+def test_gl2_orbit_class_errors():
     with pytest.raises(ValueError, match="regular"):
         gl2_orbit_class(F(2), F(1), 5)
     with pytest.raises(ValueError, match="valuation"):
         gl2_orbit_class(F(1, 5), F(1, 25), 5)  # eigenvalues off the lattice
 
 
-def test_delta_abs_odd_conductor_valuation_is_arithmetic_error(monkeypatch):
-    import padic_orbits.weylsteinberg as ws
+def test_gl2_orbit_class_split_check_is_arithmetic_error(monkeypatch, capsys):
+    # a factorization that drops the odd prime 23 of disc -23 cannot multiply back
+    real = exact._prime_powers
+    monkeypatch.setattr(exact, "_prime_powers",
+                        lambda n: ((p, e) for p, e in real(n) if p % 2 == 0))
+    with pytest.raises(ArithmeticError, match="does not multiply back"):
+        gl2_orbit_class(F(1), F(6), 5)
+    assert main(["orbital", "--trace", "1", "--det", "6", "--p", "5"]) == 3
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "the split of -23/1 as D0 f^2 does not multiply back"}
 
-    # A corrupted square class: disc -4 over -8 leaves conductor^2 = 1/2.
-    monkeypatch.setattr(ws, "squarefree_part", lambda x: -2)
-    with pytest.raises(ArithmeticError, match="odd valuation"):
-        gl2_orbit_class(F(0), F(1), 2)
+
+def _squarefree_part(x):
+    # the squarefree d with x = d * (rational square), by trial division
+    out = -1 if x < 0 else 1
+    for n in (abs(x.numerator), x.denominator):
+        k = 2
+        while n > 1:
+            e = 0
+            while n % k == 0:
+                n //= k
+                e += 1
+            out *= k ** (e % 2)
+            k += 1
+    return out
+
+
+def _three_step_class(trace, det, p):
+    """The class by the route that preceded the one split: the squarefree part
+    d0, the fundamental discriminant of d0, the kind of Q_p(sqrt d0), and the
+    depth as half of ord_p(disc / fundamental discriminant)."""
+    disc = trace * trace - 4 * det
+    d0 = _squarefree_part(disc)
+    if d0 == 1:
+        delta0, kind = 1, OrbitKind.HYPERBOLIC
+    else:
+        delta0 = d0 if d0 % 4 == 1 else 4 * d0
+        kind = {QuadKind.SPLIT: OrbitKind.HYPERBOLIC,
+                QuadKind.UNRAMIFIED: OrbitKind.UNRAM_ELLIPTIC,
+                QuadKind.RAMIFIED: OrbitKind.RAM_ELLIPTIC}[classify_quad(d0, p).kind]
+    twice_depth = ord_p(disc / delta0, p)
+    assert twice_depth % 2 == 0
+    if twice_depth < 0:
+        raise ValueError("inconsistent valuation data: negative depth")
+    return Gl2OrbitClass(kind, twice_depth // 2, p)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_gl2_orbit_class_matches_the_three_step_route():
+    # traces in Z, Z/2, Z/3 and Z/4, with p = 2 and the primes dividing them
+    traces = {F(k, m) for m in (1, 2, 3, 4) for k in range(-12, 13)}
+    count = 0
+    for trace in sorted(traces):
+        for det in range(-20, 21):
+            if trace * trace == 4 * det:
+                continue
+            for p in (2, 3, 5, 7):
+                cls = _outcome(gl2_orbit_class, trace, F(det), p)
+                assert cls == _outcome(_three_step_class, trace, F(det), p), (trace, det, p)
+                count += isinstance(cls, str)
+    assert count > 1000   # the negative depths of non-integral traces are compared too
 
 
 def test_steinberg_sl2():
