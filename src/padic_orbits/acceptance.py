@@ -24,7 +24,7 @@ from .exact import (
     qhalf,
     to_json,
 )
-from .localquad import QuadKind, classify_quad, classnum_local_check
+from .localquad import QuadKind, classify_quad, classnum_local_check, kronecker_symbol
 from .pointcount import Constraint, DigitConstraint, NormEquation, digit_table, volume_profile
 from .weylsteinberg import OrbitKind, _Dual
 
@@ -59,10 +59,11 @@ _SQUAREFREE_CANDIDATES = [-1, 2, -2, 3, -3, 5, -5, 6, -6, 7, -7, 10, -10, 11, -1
 
 
 def _representative(p: int, kind: QuadKind) -> int:
+    # at an odd p, a d prime to p is split where (d/p) = 1 and unramified where it is -1
     if kind is QuadKind.RAMIFIED:
         return p
     for d in _SQUAREFREE_CANDIDATES:
-        if d % p and classify_quad(d, p).kind is kind:
+        if kronecker_symbol(d, p) == (1 if kind is QuadKind.SPLIT else -1):
             return d
     raise LookupError(f"no representative for {kind} at {p}")
 
@@ -219,8 +220,7 @@ def criterion_5_cnf() -> CriterionResult:
     for disc in range(-3, -201, -1):
         if not is_fundamental_discriminant(disc):
             continue
-        d = disc if disc % 2 else disc // 4
-        rep = quadglobal.cnf_report(d)
+        rep = quadglobal.cnf_report(quadglobal.quad_field_data(disc))
         checked += 1
         ratio = rep.residual / rep.err_bound
         if ratio > worst or ratio != ratio:   # a NaN ratio stays the worst

@@ -182,7 +182,7 @@ def _cmd_classnum(args) -> int:
 
 
 def _cmd_cnf(args) -> int:
-    return _emit(quadglobal.cnf_report(args.d))
+    return _emit(quadglobal.cnf_report(quadglobal.quad_field_data(localquad.field_disc(args.d))))
 
 
 def _cmd_global_check(args) -> int:

@@ -297,6 +297,8 @@ def eigenform_coeffs(k: int, N: int) -> list[int]:
     """
     if k not in _ONE_DIM_WEIGHTS:
         raise ValueError(f"space not one-dimensional at weight {k}")
+    if N < 1:   # the cap's name, not eta_tau's N
+        raise ValueError("n must be a positive integer")
     _check_budget("n", N, _ORACLE_CAP, "the eta/Eisenstein oracle multiplies series of n terms")
     f = PowerSeriesZ(eta_tau(N), N)   # index 0 of eta_tau is 0, the q^0 term
     if _ONE_DIM_WEIGHTS[k]:

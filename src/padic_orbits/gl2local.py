@@ -10,8 +10,8 @@ is an actual check rather than a definition.
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exact import QHalfPower, _require_prime, qhalf
-from .weylsteinberg import Gl2OrbitClass, OrbitKind, gl2_orbit_class
+from .exact import QHalfPower, _require_prime, disc_split, qhalf
+from .weylsteinberg import Gl2OrbitClass, OrbitKind, class_from_split
 
 
 def orbital_canonical_f0(c: Gl2OrbitClass) -> Fraction:
@@ -99,14 +99,19 @@ def report_for_class(c: Gl2OrbitClass) -> OrbitalReport:
 def full_report(trace: Fraction, det: Fraction, p: int) -> OrbitalReport:
     """Classify a GL2 element by (trace, det) at p and assemble all integrals.
 
-    The depth is recomputed from the characteristic polynomial data, never
-    taken on trust; the factorization O_geometric = conversion * O_canonical
-    is re-verified exactly on the way out.  A singular element (det = 0)
-    is not in GL2 and is rejected.
+    The discriminant tr^2 - 4 det is split once, by ``disc_split``, as D0 f^2,
+    and ``class_from_split`` reads the class at p off the split: the depth is
+    recomputed, never taken on trust, and the factorization O_geometric =
+    conversion * O_canonical is re-verified exactly on the way out.  A
+    singular element (det = 0) is not in GL2 and is rejected.
     """
     if det == 0:
         raise ValueError("det must be nonzero: an element of GL2 is invertible")
-    return report_for_class(gl2_orbit_class(Fraction(trace), Fraction(det), p))
+    p = _require_prime(p)
+    disc = Fraction(trace) ** 2 - 4 * Fraction(det)
+    if disc == 0:
+        raise ValueError("not regular semisimple: zero discriminant")
+    return report_for_class(class_from_split(*disc_split(disc), p))
 
 
 def class_from_letter(letter: str, d: int, q: int) -> Gl2OrbitClass:

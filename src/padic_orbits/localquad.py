@@ -50,26 +50,18 @@ class LocalQuadType(_LocalQuadType):
 
 
 def kronecker_symbol(a: int, n: int) -> int:
-    """Kronecker symbol (a/n), defined for all integers n."""
-    if n == 0:
-        return 1 if a in (1, -1) else 0
-    sign = 1
-    if n < 0:
-        n = -n
-        if a < 0:
-            sign = -1
-    e = 0
-    while n % 2 == 0:
-        n //= 2
-        e += 1
+    """Kronecker symbol (a/n) for n >= 1.  Every caller passes a prime p or a
+    residue 1 <= r <= |disc|; n = 0 raises ValueError and n < 0 is not defined."""
+    e = (n & -n).bit_length() - 1   # n = 2^e m with m odd
+    n >>= e
+    result = 1
     if e:
         if a % 2 == 0:
             return 0
         if e % 2 and a % 8 in (3, 5):
-            sign = -sign
+            result = -1
     # Jacobi symbol (a/n) for odd n >= 1 by quadratic reciprocity.
     a %= n
-    result = sign
     while a != 0:
         while a % 2 == 0:
             a //= 2
@@ -212,19 +204,27 @@ def norm1_report(t: LocalQuadType, p: int) -> Norm1VolumeReport:
                              index)
 
 
+def field_disc(d: int) -> int:
+    """The fundamental discriminant of Q(sqrt d), and the one gate of a
+    negative squarefree d.  d is factored once, by ``disc_split``: it is
+    squarefree exactly when the split's D0 is d for d = 1 (mod 4) and 4 d
+    otherwise, and then D0 is the discriminant."""
+    if d >= 0 or (disc := disc_split(d)[0]) != (d if d % 4 == 1 else 4 * d):
+        raise ValueError("d must be a negative squarefree integer")
+    return disc
+
+
 def classnum_local_check(d: int, p: int) -> bool:
     """Exact check of vol(O_v^x) = (1 - 1/p) L_p(1, chi)^-1 |Delta|_p^(1/2).
 
     The right side is one scalar: the coefficient (1 - 1/p)(1 - chi(p)/p) is
     the Fraction (p - 1)(p - chi(p)) / p^2, and |Delta|_p^(1/2) is the
-    half-exponent -ord_p(Delta).  d is factored once, by ``disc_split``:
-    d is squarefree exactly when the split's D0 is d for d = 1 (mod 4) and
-    4 d otherwise, and then D0 is Delta.  p is tested for primality once;
+    half-exponent -ord_p(Delta).  d is gated and factored once, by
+    ``field_disc``, which returns Delta.  p is tested for primality once;
     chi(p) is then the Kronecker symbol (Delta/p), and the closed form and
     the valuation are read without checking either again.
     """
-    if d >= 0 or (disc := disc_split(d)[0]) != (d if d % 4 == 1 else 4 * d):
-        raise ValueError("d must be a negative squarefree integer")
+    disc = field_disc(d)
     _require_prime(p)
     lhs = _unit_group_volume(_classify(d, p), p)
     chi = kronecker_symbol(disc, p)

@@ -119,12 +119,6 @@ def count_mod(eq: NormEquation, p: int, k: int) -> int:
     return _congruence_count(eq, p, k)
 
 
-def raw_count_mod(eq: NormEquation, p: int, k: int) -> int:
-    """Literal congruence-solution count mod p^k (no lifting filter)."""
-    _check_args(p, k)
-    return _congruence_count(eq, p, k)
-
-
 class CountProfile(NamedTuple):
     p: int
     equation: NormEquation
@@ -154,7 +148,7 @@ def volume_profile(eq: NormEquation, p: int, k_max: int) -> CountProfile:
     raw = counts
     if p == 2 and eq.constraint is Constraint.NORM_ONE:
         # The only case where the congruence count differs from the image.
-        raw = [(k, raw_count_mod(eq, p, k)) for k in range(1, k_max + 1)]
+        raw = [(k, _congruence_count(eq, p, k)) for k in range(1, k_max + 1)]
     dim = eq.dim
     scale = p ** dim
     stabilized: Optional[int] = None

@@ -321,13 +321,13 @@ class QuadFieldData(NamedTuple):
     h: int
 
 
-def quad_field_data(d: int) -> QuadFieldData:
-    """Q(sqrt d) for a negative d, factored once: d is squarefree exactly when the
-    D0 of ``disc_split(d)`` is d for d = 1 (mod 4) and 4 d otherwise."""
-    if d >= 0 or (disc := disc_split(d)[0]) != (d if d % 4 == 1 else 4 * d):
-        raise ValueError("d must be a negative squarefree integer")
+def quad_field_data(disc: int) -> QuadFieldData:
+    """Q(sqrt d) built from its fundamental discriminant disc < 0, with no
+    factoring: d is disc for disc = 1 (mod 4) and disc / 4 otherwise.  The
+    callers hold disc already, from ``localquad.field_disc`` or a split."""
     _check_disc(disc)     # every caller sums L(1, chi): both caps refuse
     _check_L_disc(disc)   # before the class number
+    d = disc if disc % 4 == 1 else disc // 4
     return QuadFieldData(d, disc, _roots_of_unity(disc), class_number(disc))
 
 
@@ -397,8 +397,7 @@ class CnfReport(NamedTuple):
         return {**fields, "terms": L_TERMS, "ok": self.ok}
 
 
-def cnf_report(d: int) -> CnfReport:
-    K = quad_field_data(d)
+def cnf_report(K: QuadFieldData) -> CnfReport:
     value, bound = dirichlet_L1(K.disc, L_TERMS)
     target = cnf_target(K)
     return CnfReport(K, value, bound, target, abs(value - target))
@@ -454,7 +453,7 @@ def global_identity_check(trace: int, det: int) -> GlobalIdentityReport:
     if disc >= 0:
         raise ValueError("need an elliptic element: trace^2 - 4 det < 0")
     D0, f, _ = disc_split(disc)   # disc = 0, 1 (mod 4), so f is an integer
-    K = quad_field_data(D0 if D0 % 4 == 1 else D0 // 4)
+    K = quad_field_data(D0)
 
     S = sorted({p for n in (disc, det) for p, _ in _prime_powers(n)})
     local = {}

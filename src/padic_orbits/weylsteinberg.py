@@ -16,7 +16,6 @@ from .exact import (
     _check_budget,
     _ord,
     _require_prime,
-    disc_split,
 )
 from .localquad import QuadKind, _classify
 
@@ -143,21 +142,6 @@ class Gl2OrbitClass(_Gl2OrbitClass):
         _check_budget("bits of q^(d+2) (d = {}, q = {})", (d + 2) * q.bit_length(),
                       _PRINT_BITS, _PRINT_WORK, d, q)
         return super().__new__(cls, kind, d, _require_prime(q))
-
-
-def gl2_orbit_class(trace: Fraction, det: Fraction, p: int) -> Gl2OrbitClass:
-    """The orbit class at p of a regular semisimple GL2 element.
-
-    The discriminant tr^2 - 4 det is split once, by ``disc_split``, as
-    D0 f^2 with D0 the fundamental discriminant of its square class and f
-    the conductor; ``class_from_split`` reads the class off the split.
-    """
-    p = _require_prime(p)
-    trace, det = Fraction(trace), Fraction(det)
-    disc = trace * trace - 4 * det
-    if disc == 0:
-        raise ValueError("not regular semisimple: zero discriminant")
-    return class_from_split(*disc_split(disc), p)
 
 
 def class_from_split(D0: int, f_num: int, f_den: int, p: int) -> Gl2OrbitClass:

@@ -72,7 +72,7 @@ def test_criterion_6_fails_exactly_when_its_report_is_not_ok(monkeypatch):
 
 def test_each_discriminant_is_factored_once(monkeypatch):
     # _prime_powers, trial division, counted where exact and quadglobal call it
-    from padic_orbits import exact, quadglobal, weylsteinberg
+    from padic_orbits import exact, gl2local, localquad, quadglobal
 
     calls = []
     real = exact._prime_powers
@@ -89,16 +89,23 @@ def test_each_discriminant_is_factored_once(monkeypatch):
         fn(*args)
         return len(calls)
 
-    assert count(weylsteinberg.gl2_orbit_class, Fraction(1), Fraction(6), 5) == 1
-    assert count(quadglobal.quad_field_data, -23) == 1
-    # the split of disc, the field's d, the factors of disc and det for S,
-    # and the fundamental-discriminant test of L(1, chi)
-    assert count(quadglobal.global_identity_check, 1, 6) <= 5
+    assert count(gl2local.full_report, Fraction(1), Fraction(6), 5) == 1
+    # a field is gated once, by field_disc, and built from its discriminant
+    assert count(localquad.field_disc, -23) == 1
+    assert count(quadglobal.quad_field_data, -23) == 0
+    # the split of disc, the factors of disc and det for S, and the
+    # fundamental-discriminant test of L(1, chi)
+    assert count(quadglobal.global_identity_check, 1, 6) <= 4
     criteria = dict(acceptance.CRITERIA)
-    assert count(criteria["global-identity"]) <= 15
-    # no more than when three functions split each discriminant in turn
-    assert count(criteria["local-cnf"]) <= 515
-    assert count(criteria["cnf"]) <= 262
+    assert count(criteria["global-identity"]) <= 10
+    # 24 classifications and 40 NormEquation gates; the representatives
+    # are picked by their Kronecker symbol, with no squarefree test
+    assert count(criteria["torus-volumes"]) <= 64
+    # 50 squarefree tests and one split for each of 450 (d != -1, p) pairs
+    assert count(criteria["local-cnf"]) <= 500
+    # one test of each candidate discriminant and L(1, chi)'s test of each
+    # fundamental one; the field is built from the discriminant
+    assert count(criteria["cnf"]) <= 133
 
 
 def test_criterion_7_trace_formula_vs_oracle():

@@ -230,6 +230,38 @@ def test_over_budget_input_is_refused_at_once(capsys, argv, code, cap):
         assert re.fullmatch(r".+ = \d+ must be at most \d+: .+", error), error
 
 
+# Domain refusals, each with its whole payload.  A d of cnf is gated once,
+# before any cap, so d = -10^12 is refused as non-squarefree, not as over the
+# class-number cap; that cap comes before the L budget.  The same n of trace
+# gets the same name with and without the oracle.
+_SQUAREFREE_D = "d must be a negative squarefree integer"
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("cnf --d 4", _SQUAREFREE_D),
+    ("cnf --d 0", _SQUAREFREE_D),
+    ("cnf --d -12", _SQUAREFREE_D),
+    ("cnf --d -1000000000000", _SQUAREFREE_D),
+    ("cnf --d -1000000000001", "|D| = 4000000000004 must be at most 100000000: the independent "
+                               "scan, class_number_scan, does O(|D|) work and sets the cap"),
+    ("cnf --d -9999991", "|disc| = 9999991 must be at most 1000000: L(1, chi) evaluates "
+                         "2|disc| digamma values"),
+    ("global-check --trace 5 --det 6", "need an elliptic element: trace^2 - 4 det < 0"),
+    ("orbital --trace 2 --det 1 --p 5", "not regular semisimple: zero discriminant"),
+    ("orbital --trace 1/5 --det 1/25 --p 5", "inconsistent valuation data: negative depth"),
+    ("torus-volume --d 12 --p 5", "d = 12 must be squarefree and != 0, 1"),
+    ("point-count --d 12 --p 3 --k 2 --constraint one", "epsilon = 12 must be squarefree"),
+    ("trace --k 12 --n 0", "n must be a positive integer"),
+    ("trace --k 12 --n 0 --oracle", "n must be a positive integer"),
+], ids=["cnf-d-positive", "cnf-d-zero", "cnf-d-not-squarefree", "cnf-d-not-squarefree-past-cap",
+        "cnf-class-number-cap", "cnf-L-budget", "global-check-hyperbolic", "orbital-zero-disc",
+        "orbital-negative-depth", "torus-volume-d", "point-count-d", "trace-n", "trace-oracle-n"])
+def test_domain_refusal_keeps_its_message(capsys, argv, message):
+    code, out = run_cli(capsys, *argv.split())
+    assert code == 1
+    assert json.loads(out) == {"error": message}
+
+
 # The print budget admits (k // 2) * n.bit_length() and (d + 2) * q.bit_length()
 # up to 12000: the largest admitted input prints, and the next one is refused.
 @pytest.mark.parametrize("argv, admitted", [

@@ -94,7 +94,8 @@ def test_eigenform_examples():
     assert eigenform_coeffs(16, 2)[1] == 216
     with pytest.raises(ValueError, match="one-dimensional"):
         eigenform_coeffs(24, 5)
-    with pytest.raises(ValueError, match=r"^N must be a positive integer$"):
+    # n, as the oracle names its cap, not eta_tau's N
+    with pytest.raises(ValueError, match=r"^n must be a positive integer$"):
         eigenform_coeffs(12, 0)
     with pytest.raises(ValueError, match=r"^n = 2001 must be at most 2000: the eta/Eisenstein "
                                          r"oracle multiplies series of n terms$"):

@@ -42,6 +42,8 @@ def test_chi_examples():
     assert kronecker_symbol(-4, 5) == 1
     assert kronecker_symbol(-4, 2) == 0
     assert kronecker_symbol(-23, 2) == 1
+    with pytest.raises(ValueError):   # n >= 1 only: n = 0 stops at once, never loops
+        kronecker_symbol(-4, 0)
 
 
 def test_chi_consistent_with_classification():

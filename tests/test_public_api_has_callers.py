@@ -186,9 +186,6 @@ def test_every_function_is_entered_by_the_program(program_run):
 _ONE_VALUE = {
     # Every criterion passes, so no call collects a failure.
     "acceptance._result.failures",
-    # Raw counts are needed only at p = 2, the one prime where they differ
-    # from the image of the solution set.
-    "pointcount.raw_count_mod.p",
     # The benchmark's tracer reads this argument to count L-series terms.
     "quadglobal.dirichlet_L1.terms",
     # The operator computes o / t, and the maps only ever take 1 / t.

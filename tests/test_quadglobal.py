@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import padic_orbits.quadglobal as qg
 from padic_orbits.exact import is_fundamental_discriminant
-from padic_orbits.localquad import kronecker_symbol
+from padic_orbits.localquad import field_disc, kronecker_symbol
 from padic_orbits.quadglobal import (
     class_number,
     class_number_scan,
@@ -417,21 +417,40 @@ def test_hurwitz_times_units_is_integral():
             assert (hurwitz_hw(D, class_number(D)) * u).denominator == 1
 
 
+def _cnf(d):
+    # the cnf command's route: the gate of d, the field built from its
+    # discriminant, then the formula
+    return cnf_report(quad_field_data(field_disc(d)))
+
+
 def test_quad_field_data():
-    K = quad_field_data(-1)
-    assert (K.disc, K.w, K.h) == (-4, 4, 1)
-    K = quad_field_data(-3)
-    assert (K.disc, K.w, K.h) == (-3, 6, 1)
-    K = quad_field_data(-23)
-    assert (K.disc, K.w, K.h) == (-23, 2, 3)
-    with pytest.raises(ValueError):
-        quad_field_data(-12)
-    with pytest.raises(ValueError):
-        quad_field_data(5)
+    K = quad_field_data(field_disc(-1))
+    assert (K.d, K.disc, K.w, K.h) == (-1, -4, 4, 1)
+    K = quad_field_data(field_disc(-3))
+    assert (K.d, K.disc, K.w, K.h) == (-3, -3, 6, 1)
+    K = quad_field_data(field_disc(-23))
+    assert (K.d, K.disc, K.w, K.h) == (-23, -23, 2, 3)
+    assert quad_field_data(-8).d == -2
+    for d in (-12, 5, 0, 1):
+        with pytest.raises(ValueError, match="^d must be a negative squarefree integer$"):
+            field_disc(d)
+
+
+def test_field_disc_is_the_split_of_a_negative_squarefree_d():
+    # d is the D -> d rule of quad_field_data read back, and D is fundamental
+    for d in range(-1, -301, -1):
+        squarefree = all(d % (k * k) for k in range(2, 18))
+        if not squarefree:
+            with pytest.raises(ValueError, match="squarefree"):
+                field_disc(d)
+            continue
+        disc = field_disc(d)
+        assert is_fundamental_discriminant(disc) and disc == (d if d % 4 == 1 else 4 * d)
+        assert quad_field_data(disc).d == d
 
 
 def test_finite_adelic_volume():
-    assert finite_adelic_volume(quad_field_data(-1)) == F(1, 4)
+    assert finite_adelic_volume(quad_field_data(-4)) == F(1, 4)
     assert finite_adelic_volume(quad_field_data(-3)) == F(1, 6)
     assert finite_adelic_volume(quad_field_data(-23)) == F(3, 2)
 
@@ -458,8 +477,8 @@ def test_dirichlet_L1_matches_direct_sum(disc, terms):
 
 def test_package_imports_without_numpy():
     code = ("import sys; sys.modules['numpy'] = None; "
-            "import padic_orbits.cli; from padic_orbits.quadglobal import cnf_report; "
-            "sys.exit(not cnf_report(-23).ok)")
+            "import padic_orbits.cli; from padic_orbits.quadglobal import cnf_report, "
+            "quad_field_data; sys.exit(not cnf_report(quad_field_data(-23)).ok)")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
@@ -488,7 +507,7 @@ def test_dirichlet_L1_budget_admits_the_cap(monkeypatch):
         dirichlet_L1(-24, 10 ** 4)
 
 
-@pytest.mark.parametrize("entry, args", [(cnf_report, (-9999991,)),
+@pytest.mark.parametrize("entry, args", [(_cnf, (-9999991,)),
                                          (global_identity_check, (1, 2500000))],
                          ids=["cnf", "global-check"])
 def test_L_budget_refuses_before_the_class_number_and_the_local_reports(
@@ -504,7 +523,7 @@ def test_L_budget_refuses_before_the_class_number_and_the_local_reports(
 
 def test_L_budget_comes_after_the_class_number_cap(monkeypatch):
     monkeypatch.setattr(qg, "class_number", _refuse)
-    for refused in (lambda: cnf_report(-(10 ** 9 + 7)),
+    for refused in (lambda: _cnf(-(10 ** 9 + 7)),
                     lambda: global_identity_check(1, 10 ** 9 + 7)):
         with pytest.raises(ValueError, match=rf"at most {qg._DISC_CAP}: the independent scan"):
             refused()
@@ -518,9 +537,9 @@ def test_dirichlet_L1_preconditions():
 
 
 def test_cnf_residual_examples():
-    assert cnf_report(-1).residual < 1e-5
-    assert cnf_report(-23).residual < 1e-4
-    rep = cnf_report(-163)
+    assert _cnf(-1).residual < 1e-5
+    assert _cnf(-23).residual < 1e-4
+    rep = _cnf(-163)
     assert rep.field.h == 1 and rep.ok
 
 
@@ -528,9 +547,8 @@ def test_cnf_sweep_small():
     for disc in range(-3, -101, -1):
         if not is_fundamental_discriminant(disc):
             continue
-        d = disc if disc % 2 else disc // 4
-        rep = cnf_report(d)
-        assert rep.ok, disc
+        rep = cnf_report(quad_field_data(disc))
+        assert rep.ok and rep.field.disc == disc, disc
 
 
 def test_global_identity_examples():

@@ -65,8 +65,8 @@ _RECORDS = {
     "DigitConstraint": lambda: _TABLE.rows[0],
     "DigitComponent": lambda: _TABLE.components[0],
     "DigitTable": lambda: _TABLE,
-    "QuadFieldData": lambda: quadglobal.quad_field_data(-1),
-    "CnfReport": lambda: quadglobal.cnf_report(-1),
+    "QuadFieldData": lambda: quadglobal.quad_field_data(-4),
+    "CnfReport": lambda: quadglobal.cnf_report(quadglobal.quad_field_data(-4)),
     "GlobalIdentityReport": lambda: quadglobal.global_identity_check(0, 1),
     "Sp4IdentityCheck": lambda: sp4_identity_check(2, 3),
     "LocalQuadType": lambda: localquad.classify_quad(-1, 2),

@@ -8,7 +8,8 @@ from hypothesis import assume, given, strategies as st
 import padic_orbits.exact as exact
 import padic_orbits.weylsteinberg as ws
 from padic_orbits.cli import main
-from padic_orbits.exact import ord_p
+from padic_orbits.exact import disc_split, ord_p
+from padic_orbits.gl2local import full_report
 from padic_orbits.localquad import QuadKind, classify_quad
 from padic_orbits.weylsteinberg import (
     Gl2OrbitClass,
@@ -16,7 +17,7 @@ from padic_orbits.weylsteinberg import (
     OrbitKind,
     SpectralData,
     _Dual,
-    gl2_orbit_class,
+    class_from_split,
     sl2_jacobian,
     sp4_identity_check,
     sp4_jacobian,
@@ -243,23 +244,34 @@ def test_root_square_identity():
             assert D == (-1) ** len(positive) * sq * sq
 
 
+def _orbit_class(trace, det, p):
+    # the class of an element at p, as the orbital report reads it
+    return full_report(trace, det, p).orbit_class
+
+
+def _class_from_disc(trace, det, p):
+    # the class at p read off the one split of trace^2 - 4 det
+    return class_from_split(*disc_split(trace * trace - 4 * det), p)
+
+
 def test_gl2_orbit_class_examples():
-    assert gl2_orbit_class(F(5), F(6), 5) == Gl2OrbitClass(OrbitKind.HYPERBOLIC, 0, 5)
-    cls = gl2_orbit_class(F(0), F(-1), 3)
+    assert _orbit_class(F(5), F(6), 5) == Gl2OrbitClass(OrbitKind.HYPERBOLIC, 0, 5)
+    cls = _orbit_class(F(0), F(-1), 3)
     assert cls.kind is OrbitKind.HYPERBOLIC and cls.d == 0
-    cls = gl2_orbit_class(F(1), F(6), 5)
+    cls = _orbit_class(F(1), F(6), 5)
     assert cls.kind is OrbitKind.UNRAM_ELLIPTIC and cls.d == 0
+    assert _class_from_disc(F(1), F(6), 5) == cls
 
 
 def test_gl2_orbit_class_depth_from_conductor():
     # disc = -4, -16, -64 have conductors 1, 2, 4 over Q(i)
     for det, d_expected in ((F(1), 0), (F(4), 1), (F(16), 2)):
-        cls = gl2_orbit_class(F(0), det, 2)
+        cls = _orbit_class(F(0), det, 2)
         assert cls.kind is OrbitKind.RAM_ELLIPTIC and cls.d == d_expected
     # odd p: disc = -p has depth 0, disc = -p^3 has depth 1
-    cls = gl2_orbit_class(F(0), F(5), 5)
+    cls = _orbit_class(F(0), F(5), 5)
     assert (cls.kind, cls.d) == (OrbitKind.RAM_ELLIPTIC, 0)
-    cls = gl2_orbit_class(F(0), F(125), 5)
+    cls = _orbit_class(F(0), F(125), 5)
     assert (cls.kind, cls.d) == (OrbitKind.RAM_ELLIPTIC, 1)
 
 
@@ -271,7 +283,7 @@ def test_gl2_orbit_class_ramified_valuation():
         (0, 1, 2, -4),     # gamma of order 4, disc -4
         (2, 5, 2, -4),     # disc -16 = -4 * 2^2
     ):
-        cls = gl2_orbit_class(F(trace), F(det), p)
+        cls = _orbit_class(F(trace), F(det), p)
         assert cls.kind is OrbitKind.RAM_ELLIPTIC
         assert ord_p(trace * trace - 4 * det, p) == 2 * cls.d + ord_p(fundamental, p)
 
@@ -288,16 +300,17 @@ def test_gl2_orbit_class_depth_from_eigenvalue_valuations():
                 b = a + p ** d_target * rng.choice((1, 2))
                 if b % p == 0 or a == b or (b - a) % p ** (d_target + 1) == 0:
                     continue
-                cls = gl2_orbit_class(F(a + b), F(a * b), p)
+                cls = _orbit_class(F(a + b), F(a * b), p)
                 assert cls.kind is OrbitKind.HYPERBOLIC
                 assert cls.d == d_target == ord_p(F(b - a), p)
 
 
 def test_gl2_orbit_class_errors():
     with pytest.raises(ValueError, match="regular"):
-        gl2_orbit_class(F(2), F(1), 5)
-    with pytest.raises(ValueError, match="valuation"):
-        gl2_orbit_class(F(1, 5), F(1, 25), 5)  # eigenvalues off the lattice
+        _orbit_class(F(2), F(1), 5)
+    for classify in (_orbit_class, _class_from_disc):   # eigenvalues off the lattice
+        with pytest.raises(ValueError, match="valuation"):
+            classify(F(1, 5), F(1, 25), 5)
 
 
 def test_gl2_orbit_class_split_check_is_arithmetic_error(monkeypatch, capsys):
@@ -305,8 +318,9 @@ def test_gl2_orbit_class_split_check_is_arithmetic_error(monkeypatch, capsys):
     real = exact._prime_powers
     monkeypatch.setattr(exact, "_prime_powers",
                         lambda n: ((p, e) for p, e in real(n) if p % 2 == 0))
-    with pytest.raises(ArithmeticError, match="does not multiply back"):
-        gl2_orbit_class(F(1), F(6), 5)
+    for classify in (_orbit_class, _class_from_disc):
+        with pytest.raises(ArithmeticError, match="does not multiply back"):
+            classify(F(1), F(6), 5)
     assert main(["orbital", "--trace", "1", "--det", "6", "--p", "5"]) == 3
     assert json.loads(capsys.readouterr().out) == {
         "error": "the split of -23/1 as D0 f^2 does not multiply back"}
@@ -363,7 +377,7 @@ def test_gl2_orbit_class_matches_the_three_step_route():
             if trace * trace == 4 * det:
                 continue
             for p in (2, 3, 5, 7):
-                cls = _outcome(gl2_orbit_class, trace, F(det), p)
+                cls = _outcome(_class_from_disc, trace, F(det), p)
                 assert cls == _outcome(_three_step_class, trace, F(det), p), (trace, det, p)
                 count += isinstance(cls, str)
     assert count > 1000   # the negative depths of non-integral traces are compared too
