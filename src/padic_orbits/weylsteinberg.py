@@ -4,6 +4,12 @@ Discriminants are computed from exact eigenvalue data for the general linear
 and symplectic families (group and Lie algebra versions), together with the
 rank-1 and rank-2 invariant-coordinate maps whose Jacobian identities drive
 the measure conversions elsewhere in the package.
+
+The maps are differentiated with dual numbers whose value and derivative are
+integer numerators over one shared denominator, so no step of a map takes a
+gcd.  The closed forms they are checked against are built from the integer
+numerators and denominators of the point, and each identity is compared once,
+by cross-multiplying integers.
 """
 
 import enum
@@ -165,35 +171,53 @@ _ONE = Fraction(1)  # 1/t stays exact for int t
 
 
 class _Dual:
-    """Dual numbers a + b eps with eps^2 = 0: exact forward derivatives.
+    """Dual numbers (n + m eps) / den with eps^2 = 0: exact forward derivatives.
 
-    The parts are kept as given (int or Fraction), so a map written with
-    +, * and 1/x evaluates to its value and derivative in one pass.
+    The value n/den and the derivative m/den are integer numerators over one
+    shared positive integer denominator, so a map written with +, * and 1/x
+    evaluates to its value and derivative in one pass.  No step reduces the
+    denominator: a sum brings both operands over the product of theirs, a
+    product multiplies them, and 1/x is den (n - m eps) / n^2.  Each step
+    costs a few integer multiplications and no gcd; the maps take a handful
+    of steps, so the integers stay small.  ``b`` reads the derivative as a
+    reduced Fraction; the value is n/den.
     """
 
-    __slots__ = ("a", "b")
+    __slots__ = ("n", "m", "den")
 
-    def __init__(self, a, b):
-        self.a, self.b = a, b
+    def __init__(self, a, b, den=1):
+        """(a + b eps) / den for int or Fraction a and b; the steps pass integers."""
+        p, q = a.denominator, b.denominator
+        self.n, self.m, self.den = a.numerator * q, b.numerator * p, den * p * q
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.m, self.den)
 
     def __add__(self, o):
         if isinstance(o, _Dual):
-            return _Dual(self.a + o.a, self.b + o.b)
-        return _Dual(self.a + o, self.b)
+            return _Dual(self.n * o.den + o.n * self.den, self.m * o.den + o.m * self.den,
+                         self.den * o.den)
+        p, q = o.numerator, o.denominator
+        return _Dual(self.n * q + p * self.den, self.m * q, self.den * q)
 
     __radd__ = __add__
 
     def __mul__(self, o):
         if isinstance(o, _Dual):
-            return _Dual(self.a * o.a, self.a * o.b + self.b * o.a)
-        return _Dual(self.a * o, self.b * o)
+            return _Dual(self.n * o.n, self.n * o.m + self.m * o.n, self.den * o.den)
+        p, q = o.numerator, o.denominator
+        return _Dual(self.n * p, self.m * p, self.den * q)
 
     __rmul__ = __mul__
 
     def __rtruediv__(self, o):
-        """o / self for a rational o: the derivative of o/x is -o x'/x^2."""
-        r = o / self.a
-        return _Dual(r, -self.b * r / self.a)
+        """o / self for a rational o: o den (n - m eps) / n^2, whose derivative
+        is -o x'/x^2."""
+        if not self.n:
+            raise ZeroDivisionError("1/x at a dual number of value 0")
+        p = o.numerator * self.den
+        return _Dual(p * self.n, -p * self.m, o.denominator * self.n * self.n)
 
 
 def steinberg_sl2(t):
@@ -209,11 +233,14 @@ def steinberg_sl2(t):
 
 
 def sl2_jacobian(t: Fraction) -> Fraction:
-    """Derivative of the trace coordinate, 1 - t^-2 (hand-derived)."""
-    t = Fraction(t)
-    if t == 0:
+    """Derivative of the trace coordinate, 1 - t^-2 (hand-derived).
+
+    At t = p/q it is (p^2 - q^2)/p^2, one Fraction from integers.
+    """
+    p, q = t.numerator, t.denominator
+    if not p:
         raise ValueError("t must be nonzero")
-    return 1 - t ** -2
+    return Fraction(p * p - q * q, p * p)
 
 
 def steinberg_sp4(t1, t2):
@@ -229,11 +256,17 @@ def steinberg_sp4(t1, t2):
 
 
 def sp4_jacobian(t1: Fraction, t2: Fraction) -> Fraction:
-    """Closed-form Jacobian (1 - t1^-2)(1 - t2^-2)(1 - (t1 t2)^-1)(t1 - t2)."""
-    t1, t2 = Fraction(t1), Fraction(t2)
-    if t1 == 0 or t2 == 0:
+    """Closed-form Jacobian (1 - t1^-2)(1 - t2^-2)(1 - (t1 t2)^-1)(t1 - t2).
+
+    At t_i = p_i/q_i the four factors are (p1^2 - q1^2)/p1^2,
+    (p2^2 - q2^2)/p2^2, (p1 p2 - q1 q2)/(p1 p2) and (p1 q2 - p2 q1)/(q1 q2):
+    one Fraction from integers.
+    """
+    p1, q1, p2, q2 = t1.numerator, t1.denominator, t2.numerator, t2.denominator
+    if not p1 or not p2:
         raise ValueError("torus coordinates must be nonzero")
-    return (1 - t1 ** -2) * (1 - t2 ** -2) * (1 - 1 / (t1 * t2)) * (t1 - t2)
+    return Fraction((p1 * p1 - q1 * q1) * (p2 * p2 - q2 * q2) * (p1 * p2 - q1 * q2)
+                    * (p1 * q2 - p2 * q1), p1 ** 3 * p2 ** 3 * q1 * q2)
 
 
 class Sp4IdentityCheck(NamedTuple):
@@ -258,19 +291,30 @@ def sp4_identity_check(t1: Fraction, t2: Fraction) -> Sp4IdentityCheck:
     Cleared of denominators, both have degree at most 4 in each variable:
     t1^3 t2^3 Jac = (t1^2 - 1)(t2^2 - 1)(t1 t2 - 1)(t1 - t2), and times
     t1 t2^2 prod, (ii) reads t2 prod = (+-) t1^3 t2^3 Jac.
+
+    The dual passes carry integer numerators over one denominator, the root
+    product and rho are numerators and denominators in t_i = p_i/q_i, and
+    the closed form is the one Fraction ``sp4_jacobian`` returns; each
+    identity is one comparison of cross-multiplied integers.
     """
-    t1, t2 = Fraction(t1), Fraction(t2)
     jac = sp4_jacobian(t1, t2)
-    pos_product = (1 - t1 / t2) * (1 - t1 * t2) * (1 - t1 * t1) * (1 - t2 * t2)
-    if jac == 0 or pos_product == 0:
+    p1, q1, p2, q2 = t1.numerator, t1.denominator, t2.numerator, t2.denominator
+    # 1 - alpha at alpha = t1/t2, t1 t2, t1^2, t2^2, over p2 q1^4 q2^3
+    prod_num = ((p2 * q1 - p1 * q2) * (q1 * q2 - p1 * p2)
+                * (q1 * q1 - p1 * p1) * (q2 * q2 - p2 * p2))
+    if not jac or not prod_num:
         raise ValueError("degenerate torus element: identity check needs a regular point")
-    # One dual pass per variable gives a column of d(a, b)/d(t1, t2).
-    a1, b1 = steinberg_sp4(_Dual(t1, 1), t2)
-    a2, b2 = steinberg_sp4(t1, _Dual(t2, 1))
-    jac_ok = jac == a1.b * b2.b - a2.b * b1.b
-    rho = t1 * t1 * t2
-    rhs = rho * jac / pos_product
-    lhs = 1 / (t1 * t2)
+    # One dual pass per variable gives a column of d(a, b)/d(t1, t2).  A
+    # step's denominator never reads a derivative, so both passes give a and
+    # b the same denominators, and a1' b2' - a2' b1' is over a1.den b1.den.
+    a1, b1 = steinberg_sp4(_Dual(t1, 1), _Dual(t2, 0))
+    a2, b2 = steinberg_sp4(_Dual(t1, 0), _Dual(t2, 1))
+    det = a1.m * b2.m - a2.m * b1.m
+    jac_ok = det * jac.denominator == jac.numerator * a1.den * b1.den
+    # rho Jac / prod with rho = t1^2 t2, against 1/(t1 t2) = q1 q2 / (p1 p2)
+    coeff_num = p1 * p1 * p2 * jac.numerator * p2 * q1 ** 4 * q2 ** 3
+    coeff_den = q1 * q1 * q2 * jac.denominator * prod_num
+    lhs, rhs = q1 * q2 * coeff_den, p1 * p2 * coeff_num
     if lhs == rhs:
         return Sp4IdentityCheck(jac_ok, True, 1)
     if lhs == -rhs:

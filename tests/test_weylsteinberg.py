@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 import padic_orbits.exact as exact
 import padic_orbits.weylsteinberg as ws
@@ -16,6 +16,7 @@ from padic_orbits.weylsteinberg import (
     GroupKind,
     OrbitKind,
     SpectralData,
+    Sp4IdentityCheck,
     _Dual,
     class_from_split,
     sl2_jacobian,
@@ -408,6 +409,11 @@ def test_steinberg_sp4_values():
             steinberg_sp4(t1, t2)
 
 
+def _value(x):
+    """The value of a dual number as a reduced Fraction."""
+    return F(x.n, x.den)
+
+
 @given(t1=_small_nonzero, t2=_small_nonzero)
 def test_dual_derivatives_of_the_maps_match_the_closed_forms(t1, t2):
     # One dual pass per variable differentiates the maps themselves; the
@@ -415,7 +421,7 @@ def test_dual_derivatives_of_the_maps_match_the_closed_forms(t1, t2):
     assert steinberg_sl2(_Dual(t1, 1)).b == sl2_jacobian(t1)
     a1, b1 = steinberg_sp4(_Dual(t1, 1), t2)
     a2, b2 = steinberg_sp4(t1, _Dual(t2, 1))
-    assert (a1.a, b1.a) == (a2.a, b2.a) == steinberg_sp4(t1, t2)
+    assert (_value(a1), _value(b1)) == (_value(a2), _value(b2)) == steinberg_sp4(t1, t2)
     assert a1.b * b2.b - a2.b * b1.b == sp4_jacobian(t1, t2)
 
 
@@ -431,3 +437,107 @@ def test_sp4_identity_check():
         sp4_identity_check(F(2), F(2))
     with pytest.raises(ValueError, match="degenerate"):
         sp4_identity_check(F(1), F(2))
+
+
+class _FractionDual:
+    """The reference: dual numbers a + b eps over Fractions, normalized at
+    every step, as the package computed them before its duals carried
+    integer numerators over one denominator."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+
+    def __add__(self, o):
+        if isinstance(o, _FractionDual):
+            return _FractionDual(self.a + o.a, self.b + o.b)
+        return _FractionDual(self.a + o, self.b)
+
+    __radd__ = __add__
+
+    def __mul__(self, o):
+        if isinstance(o, _FractionDual):
+            return _FractionDual(self.a * o.a, self.a * o.b + self.b * o.a)
+        return _FractionDual(self.a * o, self.b * o)
+
+    __rmul__ = __mul__
+
+    def __rtruediv__(self, o):
+        r = o / self.a
+        return _FractionDual(r, -self.b * r / self.a)
+
+
+def _reference_sp4_jacobian(t1, t2):
+    t1, t2 = F(t1), F(t2)
+    if t1 == 0 or t2 == 0:
+        raise ValueError("torus coordinates must be nonzero")
+    return (1 - t1 ** -2) * (1 - t2 ** -2) * (1 - 1 / (t1 * t2)) * (t1 - t2)
+
+
+def _reference_sp4_identity_check(t1, t2):
+    t1, t2 = F(t1), F(t2)
+    jac = _reference_sp4_jacobian(t1, t2)
+    pos_product = (1 - t1 / t2) * (1 - t1 * t2) * (1 - t1 * t1) * (1 - t2 * t2)
+    if jac == 0 or pos_product == 0:
+        raise ValueError("degenerate torus element: identity check needs a regular point")
+    a1, b1 = steinberg_sp4(_FractionDual(t1, 1), t2)
+    a2, b2 = steinberg_sp4(t1, _FractionDual(t2, 1))
+    jac_ok = jac == a1.b * b2.b - a2.b * b1.b
+    rhs = t1 * t1 * t2 * jac / pos_product
+    lhs = 1 / (t1 * t2)
+    sign = 1 if lhs == rhs else -1 if lhs == -rhs else 0
+    return Sp4IdentityCheck(jac_ok, sign != 0, sign)
+
+
+def _parts(x):
+    if isinstance(x, _FractionDual):
+        return F(x.a), F(x.b)
+    return _value(x), x.b
+
+
+# Signed numerators and denominators up to 10^6, and ints.
+_BOUND = 10 ** 6
+_nonzero = st.integers(-_BOUND, _BOUND).filter(bool)
+_rational = st.one_of(st.builds(F, _nonzero, _nonzero), _nonzero)
+
+
+@given(a=_rational, b=_rational, c=_rational, d=_rational)
+def test_dual_steps_match_the_fraction_reference(a, b, c, d):
+    x, y = _Dual(a, b), _Dual(c, d)
+    rx, ry = _FractionDual(F(a), F(b)), _FractionDual(F(c), F(d))
+    assert _parts(x) == (a, b) and x.den > 0
+    for got, want in [(x + y, rx + ry), (x * y, rx * ry), (x + c, rx + c), (c + x, c + rx),
+                      (x * c, rx * c), (c * x, c * rx), (c / x, c / rx), (F(1) / x, 1 / rx)]:
+        assert _parts(got) == _parts(want)
+        assert got.den > 0
+
+
+@given(t1=_rational, t2=_rational)
+def test_dual_columns_of_the_maps_match_the_fraction_reference(t1, t2):
+    assert _parts(steinberg_sl2(_Dual(t1, 1))) == _parts(steinberg_sl2(_FractionDual(F(t1), 1)))
+    # the other coordinate as a plain rational, as a constant dual, or seeded
+    for other, ref in ((t2, t2), (_Dual(t2, 0), _FractionDual(F(t2), 0)),
+                       (_Dual(t2, 1), _FractionDual(F(t2), 1))):
+        got = steinberg_sp4(_Dual(t1, 1), other)
+        want = steinberg_sp4(_FractionDual(F(t1), 1), ref)
+        assert list(map(_parts, got)) == list(map(_parts, want))
+
+
+@st.composite
+def _points(draw):
+    """Any rationals, and the partners of t1 that make (t1, t2) degenerate."""
+    t1 = draw(st.one_of(_rational, st.sampled_from([1, -1, 0])))
+    partners = [t1, F(1), F(-1), -t1, 0] + ([1 / F(t1)] if t1 else [])
+    return t1, draw(st.one_of(_rational, st.sampled_from(partners)))
+
+
+@given(point=_points())
+@example(point=(F(3, 2), F(-5, 7)))
+@example(point=(F(-1, 10 ** 6), F(10 ** 6, 7)))
+@example(point=(2, 2))
+@example(point=(0, 2))
+def test_sp4_identity_check_matches_the_fraction_reference(point):
+    for args in (point, point[::-1]):
+        assert _outcome(sp4_jacobian, *args) == _outcome(_reference_sp4_jacobian, *args)
+        assert _outcome(sp4_identity_check, *args) == _outcome(_reference_sp4_identity_check, *args)
